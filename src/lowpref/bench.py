@@ -34,13 +34,16 @@ from .instances import (
     load_instance,
     make_paper_instance,
     sample_dataset,
+    sample_winners,
     sampling_plan,
 )
 from .mdp import TransitionKernel, mdp_regret, rl_low_mdp, validate_kernel
 from .privacy import PrivacyParams, gaussian_mechanism
-from .rng import derive_seed, substream
+from .rng import derive_seeds
 
 ALGORITHMS = ("rl_low", "dp_rl_low", "mle", "rl_low_mdp")
+_CONFIG_KEYS = ("instance", "n_grid", "repetitions", "algorithms", "privacy", "kernel",
+                "master_seed", "out_dir")
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,22 @@ def simple_regret(v: Instance, selections) -> float:
     return float(np.sum(v.rho * v.gaps[np.arange(v.num_states), idx]))
 
 
+def _refuse_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"unknown {where} key {unknown[0]!r}; expected one of {', '.join(known)}"
+        )
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
+    _refuse_unknown_keys(payload, _CONFIG_KEYS, "config")
     source = payload.get("instance", {})
+    _refuse_unknown_keys(source, ("generator", "path"), "instance")
     generator = None
     if "generator" in source:
         g = source["generator"]
+        _refuse_unknown_keys(g, ("S", "A", "d", "seed", "gap_step"), "generator")
         generator = GeneratorConfig(
             num_states=int(g["S"]),
             num_actions=int(g["A"]),
@@ -133,6 +147,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         )
     privacy = None
     if payload.get("privacy") is not None:
+        _refuse_unknown_keys(payload["privacy"], ("epsilon", "delta"), "privacy")
         privacy = PrivacyParams(
             epsilon=float(payload["privacy"]["epsilon"]),
             delta=float(payload["privacy"]["delta"]),
@@ -172,57 +187,67 @@ class _Prepared:
 
     The empirical schedule of a sampled dataset depends only on the
     instance and n, because per-pair record counts are deterministic
-    ceilings; only the winners vary between repetitions.  The counts, the
-    win probabilities and the weight table are therefore computed once per
-    n, and each repetition draws only the per-pair win counts, with the
-    same streams as ``sample_dataset``.
+    ceilings; only the winners vary between repetitions.  The plan, the
+    schedule and the weight table are therefore computed once per n.
     """
 
     def __init__(self, v: Instance, n: int):
-        pairs, counts, p_first = sampling_plan(v, n)
-        self.counts = counts
+        self.pairs, self.counts, self.p_first = sampling_plan(v, n)
         self.schedule = np.zeros_like(v.schedule)
-        self.schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = counts / n
+        pairs = self.pairs
+        self.schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = self.counts / n
         self.table = consistent_weight_table(self.schedule, v.features)
-        self.draws = [
-            (int(k), int(i), int(j), int(c), float(p))
-            for (k, i, j), c, p in zip(pairs, counts, p_first)
-        ]
+        self.starts = np.cumsum(self.counts) - self.counts
 
-    def rates(self, data_seed: int, L: float) -> SuccessRates:
-        """Success rates of the dataset ``sample_dataset`` draws for data_seed."""
-        wins = np.array([
-            np.count_nonzero(substream(data_seed, "sample", k, i, j).random(c) < p)
-            for k, i, j, c, p in self.draws
-        ])
-        return SuccessRates.of(self.table.pairs, wins / self.counts, L)
+    def rates(self, data_seeds: np.ndarray, L: float) -> SuccessRates:
+        """Success rates, one row per data seed, of the datasets
+        ``sample_dataset`` draws for those seeds, from one batch of streams."""
+        wins = sample_winners(self.pairs, self.counts, self.p_first, data_seeds[:, None])
+        counts = np.add.reduceat(wins, self.starts, axis=1, dtype=np.int64)
+        return SuccessRates.of(self.table.pairs, counts / self.counts, L)
 
 
-def _run_cell(v, kernel, cfg, prepared, algo, n, rep):
-    data_seed = derive_seed(cfg.master_seed, "data", n, rep)
-    tie_seed = derive_seed(cfg.master_seed, algo, n, rep, "tie")
+def _run_cells(v, kernel, cfg, prep, algo, n) -> list[ResultRow]:
+    """The repetitions of one (algorithm, n).
+
+    Seeds, win counts and noise of all repetitions are drawn in one batch
+    first; each cell's ``wall_ms`` is its own work plus an equal share of
+    that batch.
+    """
     start = time.perf_counter()
+    reps = np.arange(cfg.repetitions)
+    data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)
+    tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie").tolist()
     if algo in ("rl_low", "dp_rl_low"):
-        prep = prepared[n]
-        rates = prep.rates(data_seed, v.reward_bound)
+        rates = prep.rates(data_seeds, v.reward_bound)
         if algo == "dp_rl_low":
-            noise_seed = derive_seed(cfg.master_seed, algo, n, rep, "noise")
-            rates = gaussian_mechanism(rates, prep.schedule, n, cfg.privacy, noise_seed)
-        rhat = estimate_relative_rewards(rates, prep.table, v.features)
-        regret = simple_regret(v, select_best_actions(rhat, tie_seed)[0])
-    elif algo == "mle":
-        data = sample_dataset(v, n, data_seed)
-        fit = mle_fit(data, v.features, v.reward_bound)
-        regret = simple_regret(v, mle_select(fit, v.features, tie_seed))
-    else:  # rl_low_mdp
-        data = sample_dataset(v, n, data_seed)
-        policy = rl_low_mdp(
-            data, v.features, v.reward_bound, kernel, v.rho, tie_seed
-        )
-        regret = mdp_regret(v, kernel, policy)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return ResultRow(algo=algo, n=n, rep=rep, seed=data_seed, regret=regret,
-                     wall_ms=wall_ms)
+            noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
+            rates = gaussian_mechanism(rates, prep.schedule, n, cfg.privacy,
+                                       noise_seeds[:, None])
+    data_seeds = data_seeds.tolist()
+    share_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
+    rows = []
+    for rep in range(cfg.repetitions):
+        start = time.perf_counter()
+        if algo in ("rl_low", "dp_rl_low"):
+            cell = SuccessRates(rates.pairs, rates.raw[rep], rates.clipped[rep],
+                                rates.clip_bound)
+            rhat = estimate_relative_rewards(cell, prep.table, v.features)
+            regret = simple_regret(v, select_best_actions(rhat, tie_seeds[rep])[0])
+        elif algo == "mle":
+            data = sample_dataset(v, n, data_seeds[rep])
+            fit = mle_fit(data, v.features, v.reward_bound)
+            regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
+        else:  # rl_low_mdp
+            data = sample_dataset(v, n, data_seeds[rep])
+            policy = rl_low_mdp(
+                data, v.features, v.reward_bound, kernel, v.rho, tie_seeds[rep]
+            )
+            regret = mdp_regret(v, kernel, policy)
+        wall_ms = (time.perf_counter() - start) * 1000.0 + share_ms
+        rows.append(ResultRow(algo=algo, n=n, rep=rep, seed=data_seeds[rep],
+                              regret=regret, wall_ms=wall_ms))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -233,10 +258,10 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         raise ValidationError("rl_low_mdp requires a kernel")
     prepared = {n: _Prepared(v, n) for n in cfg.n_grid}
     rows = [
-        _run_cell(v, kernel, cfg, prepared, algo, n, rep)
+        row
         for algo in cfg.algorithms
         for n in cfg.n_grid
-        for rep in range(cfg.repetitions)
+        for row in _run_cells(v, kernel, cfg, prepared[n], algo, n)
     ]
     return ResultTable(rows=rows)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .rng import substream
+from .rng import default_rngs, derive_seeds, substream
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero when
 # computing the rank of the observed-difference matrix.
@@ -149,6 +149,14 @@ def validate_instance(candidate: Instance) -> Instance:
     if v.schedule.shape != (S, A, A):
         raise ValidationError(f"schedule shape {v.schedule.shape} != {(S, A, A)}")
 
+    for name in ("features", "theta", "rho", "schedule"):
+        values = getattr(v, name)
+        if not np.all(np.isfinite(values)):
+            at = tuple(int(x) for x in np.argwhere(~np.isfinite(values))[0])
+            raise ValidationError(f"{name} has a non-finite entry at index {at}")
+    if not math.isfinite(v.reward_bound):
+        raise ValidationError(f"reward bound {v.reward_bound} is not finite")
+
     if np.any(v.rho <= 0):
         raise ValidationError("rho entries must be strictly positive")
     if abs(float(v.rho.sum()) - 1.0) > PROB_ATOL:
@@ -162,13 +170,10 @@ def validate_instance(candidate: Instance) -> Instance:
     if abs(float(v.schedule.sum()) - 1.0) > PROB_ATOL:
         raise ValidationError("schedule must sum to 1")
 
-    for k in range(S):
-        for i in range(A):
-            for j in range(i + 1, A):
-                if np.array_equal(v.features[k, i], v.features[k, j]):
-                    raise ValidationError(
-                        f"duplicate features for actions {i} and {j} in state {k}"
-                    )
+    duplicate = _first_duplicate_features(v.features)
+    if duplicate is not None:
+        k, i, j = duplicate
+        raise ValidationError(f"duplicate features for actions {i} and {j} in state {k}")
 
     rewards = v.rewards()
     if np.max(np.abs(rewards)) > v.reward_bound * (1 + 1e-12) + 1e-12:
@@ -182,6 +187,32 @@ def validate_instance(candidate: Instance) -> Instance:
         if int(np.sum(row == row.max())) != 1:
             raise ValidationError(f"best action in state {k} is not unique")
     return v
+
+
+def _first_duplicate_features(features: np.ndarray) -> tuple[int, int, int] | None:
+    """First (k, i, j), i < j, in (k, i, j) order with equal feature rows, else None.
+
+    Sorting the rows by (state, features) puts equal rows of a state next to
+    each other; each run of equal rows is one group, and the answer is the
+    lowest (k, i) in a group of two or more with the next member of its group.
+    """
+    S, A, d = features.shape
+    rows = features.reshape(S * A, d)
+    states = np.repeat(np.arange(S), A)
+    order = np.lexsort((*rows.T[::-1], states))
+    ranked, ranked_states = rows[order], states[order]
+    same = (ranked_states[1:] == ranked_states[:-1]) & np.all(
+        ranked[1:] == ranked[:-1], axis=1
+    )
+    if not same.any():
+        return None
+    group = np.empty(S * A, dtype=np.int64)
+    group[order] = np.concatenate([[0], np.cumsum(~same)])
+    shared = np.flatnonzero(np.bincount(group)[group] > 1)
+    first = shared[0]
+    second = shared[group[shared] == group[first]][1]
+    k, i = divmod(int(first), A)
+    return k, i, int(second) % A
 
 
 def true_reward(v: Instance, k: int, i: int) -> float:
@@ -321,24 +352,39 @@ def sampling_plan(v: Instance, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return pairs, counts, p_first
 
 
+def sample_winners(
+    pairs: np.ndarray, counts: np.ndarray, p_first: np.ndarray, seed
+) -> np.ndarray:
+    """Whether the lower-indexed action wins each record of a sampling plan.
+
+    Records are in plan order, each pair's ``counts`` records consecutive,
+    and pair (k, i, j) draws ``random(count) < p_first`` from the
+    (seed, "sample", k, i, j) stream.  ``seed`` is one data seed, giving one
+    row of bits, or an (R, 1) column of them, giving R rows; all streams are
+    seeded in one batch.
+    """
+    streams = derive_seeds(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    uniforms = np.empty(streams.shape[:-1] + (int(counts.sum()),))
+    ends = np.cumsum(np.broadcast_to(counts, streams.shape)).tolist()
+    flat = uniforms.reshape(-1)
+    start = 0
+    for rng, end in zip(default_rngs(streams), ends):
+        rng.random(out=flat[start:end])
+        start = end
+    return uniforms < np.repeat(p_first, counts)
+
+
 def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:
     """Draw a dataset of nominal size ``n`` from the comparison model.
 
     Record counts and win probabilities come from ``sampling_plan``; the
-    winners are independent Bernoulli draws.  Streams are derived per
-    (seed, k, i, j) so the draw is reproducible and order-independent.
+    winners are independent Bernoulli draws from ``sample_winners``, whose
+    streams are derived per (seed, k, i, j) so the draw is reproducible and
+    order-independent.
     """
     pairs, counts, p_first = sampling_plan(v, n)
-    blocks = []
-    for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist()):
-        wins = substream(seed, "sample", k, i, j).random(count) < p
-        block = np.empty((count, 4), dtype=np.int64)
-        block[:, 0] = k
-        block[:, 1] = i
-        block[:, 2] = j
-        block[:, 3] = wins
-        blocks.append(block)
-    records = np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
+    wins = sample_winners(pairs, counts, p_first, seed)
+    records = np.column_stack([np.repeat(pairs, counts, axis=0), wins])
     return PreferenceDataset(records=records, n=n)
 
 

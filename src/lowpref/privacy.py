@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import EstimateReport, SuccessRates, dataset_inputs, report_from_rates
 from .instances import PreferenceDataset
-from .rng import substream
+from .rng import default_rngs, derive_seeds
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,18 @@ def noise_scale(n: int, masses, privacy: PrivacyParams):
     return math.sqrt(2 * math.log(1.25 / privacy.delta)) / (privacy.epsilon * n * masses)
 
 
-def _draw_noise(seed: int, pairs: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    """One Gaussian draw per observed pair from a (seed, k, i, j) substream.
+def _draw_noise(seed, pairs: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """One Gaussian draw per observed pair from its (seed, "noise", k, i, j)
+    stream, all streams seeded in one batch.  ``seed`` is one seed, or an
+    (R, 1) column of them for R rows of draws.
 
     Module-level so tests can stub it out (e.g. with zeros); the public
     pipeline never substitutes it.
     """
-    out = np.empty(len(stds))
-    for idx, ((k, i, j), std) in enumerate(zip(pairs, stds)):
-        out[idx] = substream(seed, "noise", int(k), int(i), int(j)).normal(0.0, std)
-    return out
+    streams = derive_seeds(seed, "noise", pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    stds = np.broadcast_to(stds, streams.shape).ravel().tolist()
+    noise = [rng.normal(0.0, std) for rng, std in zip(default_rngs(streams), stds)]
+    return np.array(noise, dtype=np.float64).reshape(streams.shape)
 
 
 def gaussian_mechanism(
@@ -66,9 +68,13 @@ def gaussian_mechanism(
     schedule: np.ndarray,
     n: int,
     privacy: PrivacyParams,
-    seed: int,
+    seed,
 ) -> SuccessRates:
-    """Perturb each observed success rate with calibrated Gaussian noise."""
+    """Perturb each observed success rate with calibrated Gaussian noise.
+
+    ``seed`` is one seed, or an (R, 1) column of seeds when ``rates`` stacks
+    R rows of rates on the same pairs; row r then gets row r's noise.
+    """
     pairs = rates.pairs
     stds = noise_scale(n, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]], privacy)
     noisy = rates.raw + _draw_noise(seed, pairs, stds)
