@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NumericalError, ValidationError
-from .estimator import build_weight_table
+from .estimator import WeightTable, consistent_weight_table
 from .instances import (
     Instance,
-    check_consistency,
     make_instance,
     suboptimality_gaps,
 )
@@ -76,18 +75,20 @@ class AdversaryPair:
     z: np.ndarray
 
 
-def _require_consistent(v: Instance) -> None:
-    consistent, witness = check_consistency(v)
-    if not consistent:
+def _consistent_table(v: Instance) -> WeightTable:
+    """The instance's weight table, from one SVD of its observed differences;
+    refuses an inconsistent instance, naming the first witness pair."""
+    try:
+        return consistent_weight_table(v.schedule, v.features)
+    except InconsistencyError as exc:
         raise InconsistencyError(
-            f"instance is inconsistent; witness pair {witness}", witness=witness
-        )
+            f"instance is inconsistent; witness pair {exc.witness}", witness=exc.witness
+        ) from None
 
 
 def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessReport:
     """Compute all per-target coefficients and the hardness maxima."""
-    _require_consistent(v)
-    table = build_weight_table(v.schedule, v.features)
+    table = _consistent_table(v)
     gaps = suboptimality_gaps(v)
     best = v.best_actions()
 
@@ -199,11 +200,10 @@ def alt_minimizer(v: Instance, z: np.ndarray, eta: float) -> AdversaryPair:
     which also minimises the discrepancy at value ``eta^2 / |z|^2_{V^-1}``.
     Components orthogonal to the observed span are free; this picks zero.
     """
-    _require_consistent(v)
+    table = _consistent_table(v)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (v.dim,):
         raise ValidationError(f"z must be a length-{v.dim} vector")
-    table = build_weight_table(v.schedule, v.features)
     coords = table.basis.coords(z)
     residual = z - table.basis.lift(coords)
     if np.linalg.norm(residual) > 1e-9 * (1 + np.linalg.norm(z)):

@@ -95,6 +95,22 @@ class TestConfig:
         assert cfg.privacy == PrivacyParams(0.9, 0.2)
         assert cfg.algorithms == ("rl_low", "mle")
 
+    @pytest.mark.parametrize("where, edit", [
+        ("config", lambda p: p.update(repetition=5)),
+        ("instance", lambda p: p["instance"].update(seed=1)),
+        ("generator", lambda p: p["instance"]["generator"].update(gapstep=0.1)),
+        ("privacy", lambda p: p["privacy"].update(eps=0.5)),
+    ])
+    def test_unknown_key_rejected(self, where, edit):
+        payload = {
+            "instance": {"generator": {"S": 2, "A": 4, "d": 3, "seed": 3}},
+            "repetitions": 4,
+            "privacy": {"epsilon": 0.9, "delta": 0.2},
+        }
+        edit(payload)
+        with pytest.raises(ValidationError, match=f"unknown {where} key"):
+            config_from_dict(payload)
+
 
 class TestRunExperiment:
     def test_row_cardinality_and_nonnegative_regret(self):

@@ -131,6 +131,27 @@ def test_non_finite_kernel_exits_2(mdp_args, capsys):
     assert "P[1, 2, 0] = nan is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["rho", "theta"])
+def test_nan_instance_field_exits_2(tmp_path, instance_path, field, capsys):
+    payload = json.loads(instance_path.read_text())
+    payload[field][0] = float("nan")
+    instance_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["analyze", "--instance", str(instance_path)]) == 2
+    assert f"{field} has a non-finite entry at index (0,)" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(tmp_path, instance_path, capsys):
+    config = {"instance": {"path": str(instance_path)}, "repetition": 5,
+              "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "unknown config key 'repetition'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validation_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"S": 1, "A": 2}))

@@ -69,6 +69,69 @@ class TestValidation:
         with pytest.raises(ValidationError, match="shape"):
             validate_instance(_t1_like(theta=[1.0, 2.0]))
 
+    def test_nan_rho_rejected(self):
+        with pytest.raises(ValidationError, match=r"rho has a non-finite entry at index \(0,\)"):
+            validate_instance(_t1_like(rho=[float("nan")]))
+
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValidationError, match=r"theta has a non-finite entry at index \(0,\)"):
+            validate_instance(_t1_like(theta=[float("nan")]))
+
+
+def _first_duplicate_loop(features):
+    """The duplicate check as it was written first: every pair, in order."""
+    S, A, _ = features.shape
+    for k in range(S):
+        for i in range(A):
+            for j in range(i + 1, A):
+                if np.array_equal(features[k, i], features[k, j]):
+                    return k, i, j
+    return None
+
+
+class TestDuplicateFeatures:
+    @staticmethod
+    def _planted(rows_by_state):
+        features = np.array(rows_by_state, dtype=np.float64)
+        S, A, _ = features.shape
+        schedule = np.zeros((S, A, A))
+        iu, ju = np.triu_indices(A, k=1)
+        schedule[:, iu, ju] = 1.0 / (S * iu.size)
+        return make_instance(features, np.ones(features.shape[2]), np.full(S, 1.0 / S),
+                             schedule, 10.0)
+
+    @pytest.mark.parametrize("rows, first", [
+        # three equal rows: the first pair of them is reported
+        ([[[1, 0], [5, 5], [2, 0], [5, 5], [5, 5]]], (0, 1, 3)),
+        # only a later state repeats a row; state 0 shares rows with it
+        ([[[1, 0], [2, 0], [3, 0]], [[3, 0], [1, 0], [3, 0]]], (1, 0, 2)),
+        # two duplicate groups: the lower first index wins, not the lower pair
+        ([[[4, 4], [1, 1], [2, 2], [1, 1], [4, 4]]], (0, 0, 4)),
+        # -0.0 equals 0.0, as np.array_equal has it
+        ([[[0.0, 1], [3, 3], [-0.0, 1]]], (0, 0, 2)),
+    ])
+    def test_planted_duplicates(self, rows, first):
+        v = self._planted(rows)
+        assert _first_duplicate_loop(v.features) == first
+        k, i, j = first
+        with pytest.raises(ValidationError,
+                           match=f"duplicate features for actions {i} and {j} in state {k}"):
+            validate_instance(v)
+
+    def test_matches_pairwise_loop_on_random_grids(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            S, A, d = (int(x) for x in rng.integers(1, 5, size=3))
+            features = rng.integers(0, 3, size=(S, A + 1, d)).astype(np.float64)
+            v = self._planted(features)
+            expected = _first_duplicate_loop(v.features)
+            if expected is None:
+                continue
+            k, i, j = expected
+            with pytest.raises(ValidationError,
+                               match=f"actions {i} and {j} in state {k}$"):
+                validate_instance(v)
+
 
 class TestRewardsAndGaps:
     def test_t1_rewards(self, t1):
