@@ -55,7 +55,8 @@ class SuccessRates:
     in ``np.argwhere`` order, which is also the order of
     ``WeightTable.pairs``.  ``clipped`` is ``raw`` clamped to the band that
     the reward bound ``clip_bound`` permits; after the Gaussian mechanism
-    ``raw`` may leave [0, 1].
+    ``raw`` may leave [0, 1].  ``run_experiment`` stacks the rates of all
+    repetitions as (R, m) rows on the same pairs and estimates row by row.
     """
 
     pairs: np.ndarray  # (m, 3)

@@ -45,21 +45,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _ONE_LANE = (1).to_bytes(8, "little")
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
-    """SeedSequence's running hash constant: hash t xors with the t-th value
-    and multiplies by the next."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _M32)
-    return tuple(zip(consts, consts[1:]))
-
-
-# Enough hashes for 128 entropy words, two for each of the at most 64 parts
-# np.broadcast takes, and for the eight output words of default_rng's seeding.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * 128)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -124,11 +109,13 @@ class _Lanes:
         for the packed entropy words ``entropy``: numpy's ``hashmix``,
         ``mix``, ``mix_entropy`` and ``generate_state`` step for step."""
         ones, mask, borrow = self.ones, self.mask, self.ones << 32
-        calls = iter(_HASH_A)
+        const = _INIT_A
 
-        def hashmix(value: int) -> int:
-            xor, mult = next(calls)
-            value = (value ^ xor * ones) * mult & mask
+        def hashmix(value: int, mult: int = _MULT_A) -> int:
+            nonlocal const
+            value ^= const * ones
+            const = const * mult & _M32
+            value = value * const & mask
             return value ^ (value >> 16 & mask)
 
         def mix(x: int, y: int) -> int:
@@ -143,11 +130,9 @@ class _Lanes:
         for word in entropy[_POOL:]:
             for dst in range(_POOL):
                 pool[dst] = mix(pool[dst], hashmix(word))
-        out = []
-        for i, (xor, mult) in zip(range(n_words), _HASH_B):
-            value = (pool[i % _POOL] ^ xor * ones) * mult & mask
-            out.append(value ^ (value >> 16 & mask))
-        return out
+        # generate_state hashes the pool words the same way, with constants B.
+        const = _INIT_B
+        return [hashmix(pool[i % _POOL], _MULT_B) for i in range(n_words)]
 
 
 def _seed_words(values: np.ndarray, n_words: int) -> np.ndarray:

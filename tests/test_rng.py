@@ -91,7 +91,8 @@ class TestDefaultRngs:
     def test_random_matches_default_rng(self, seeds, counts):
         for seed, rng, count in zip(seeds, default_rngs(np.array(seeds, dtype=np.uint64)),
                                     counts):
-            assert rng.random(count).tobytes() == np.random.default_rng(seed).random(count).tobytes()
+            expected = np.random.default_rng(seed).random(count)
+            assert rng.random(count).tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(seeds=st.lists(u64, min_size=1, max_size=20),
@@ -105,7 +106,7 @@ class TestDefaultRngs:
         for seed, rng in zip(seeds.tolist(), default_rngs(seeds)):
             reference = np.random.default_rng(seed)
             assert rng.random(3).tolist() == reference.random(3).tolist()
-            assert rng.normal(0.0, 2.0, size=4).tolist() == reference.normal(0.0, 2.0, size=4).tolist()
+            assert rng.normal(0.0, 2.0, 4).tolist() == reference.normal(0.0, 2.0, 4).tolist()
 
 
 class TestBatchedCallers:
@@ -127,7 +128,8 @@ class TestBatchedCallers:
         pairs = paper_instance.observed_pairs()
         stds = np.linspace(0.01, 2.0, len(pairs))
         for seed in (0, 3, 2**33):
-            assert _draw_noise(seed, pairs, stds).tolist() == _loop_noise(seed, pairs, stds).tolist()
+            expected = _loop_noise(seed, pairs, stds)
+            assert _draw_noise(seed, pairs, stds).tolist() == expected.tolist()
 
     def test_noise_rows_for_a_seed_column(self, tri):
         pairs = tri.observed_pairs()
