@@ -102,7 +102,7 @@ class _Lanes:
         width = 64 * self.size
         packed = sum(row << (width * p) for p, row in enumerate(rows))
         data = packed.to_bytes(8 * self.size * len(rows), "little")
-        return np.frombuffer(data, dtype="<u8").reshape(len(rows), self.size)
+        return np.frombuffer(bytearray(data), dtype="<u8").reshape(len(rows), self.size)
 
     def seed_sequence(self, entropy: list[int], n_words: int) -> list[int]:
         """``SeedSequence(e).generate_state(n_words, uint32)`` lane by lane,
