@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lowpref import (
     GeneratorConfig,
@@ -22,6 +25,12 @@ from lowpref import (
     suboptimality_gaps,
     true_reward,
     validate_instance,
+)
+from lowpref.instances import (
+    consistency_witness,
+    observed_differences,
+    outside_span,
+    span_rows,
 )
 from conftest import random_consistent_instance
 
@@ -215,6 +224,76 @@ class TestConsistency:
             assert consistent == oracle
             if not consistent:
                 assert witness is not None
+
+
+def _pairwise_scan_witness(features, schedule):
+    """The consistency check as it was first written: every difference
+    features[k, i] - features[k, j], i < j, in (k, i, j) order."""
+    _, observed, _ = observed_differences(features, schedule)
+    rows = span_rows(observed)
+    S, A, _ = features.shape
+    iu, ju = np.triu_indices(A, k=1)
+    bad = np.argwhere(outside_span(features[:, iu] - features[:, ju], rows))
+    if not bad.size:
+        return None
+    k, p = (int(x) for x in bad[0])
+    return k, int(iu[p]), int(ju[p])
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def witness_cases(draw):
+    """Features and a schedule: exact integer, rank-deficient, rows shared
+    across states or normal features; an empty, partial or full schedule."""
+    S, A, d = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["integer", "rank_deficient", "shared_rows", "normal"]))
+    if kind == "integer":
+        features = draw(hnp.arrays(np.int64, (S, A, d), elements=small_ints))
+    elif kind == "rank_deficient":
+        r = draw(st.integers(1, max(d - 1, 1)))
+        coeffs = draw(hnp.arrays(np.int64, (S, A, r), elements=small_ints))
+        features = coeffs @ draw(hnp.arrays(np.int64, (r, d), elements=small_ints))
+    elif kind == "shared_rows":
+        base = draw(hnp.arrays(np.int64, (A, d), elements=small_ints))
+        features = base[draw(hnp.arrays(np.int64, (S, A), elements=st.integers(0, A - 1)))]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        features = rng.normal(size=(S, A, d))
+        if draw(st.booleans()):  # every row on one line through the origin
+            features = features @ rng.normal(size=(d, 1)) @ rng.normal(size=(1, d))
+    iu, ju = np.triu_indices(A, k=1)
+    mode = draw(st.sampled_from(["empty", "partial", "full"]))
+    if mode == "empty":
+        mask = np.zeros((S, iu.size), dtype=bool)
+    elif mode == "partial":
+        mask = draw(hnp.arrays(np.bool_, (S, iu.size)))
+    else:
+        mask = np.ones((S, iu.size), dtype=bool)
+    schedule = np.zeros((S, A, A))
+    schedule[:, iu, ju] = mask / max(int(mask.sum()), 1)
+    return np.asarray(features, dtype=np.float64), schedule
+
+
+class TestConsistencyWitnessOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=witness_cases())
+    def test_matches_pairwise_scan(self, case):
+        features, schedule = case
+        assert consistency_witness(features, schedule) == \
+            _pairwise_scan_witness(features, schedule)
+
+    def test_matches_pairwise_scan_on_random_instances(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            v = random_consistent_instance(rng)
+            schedule = np.array(v.schedule)
+            pairs = np.argwhere(schedule > 0)
+            drop = pairs[rng.random(len(pairs)) < rng.random()]
+            schedule[drop[:, 0], drop[:, 1], drop[:, 2]] = 0.0
+            assert consistency_witness(v.features, schedule) == \
+                _pairwise_scan_witness(v.features, schedule)
 
 
 class TestGenerator:

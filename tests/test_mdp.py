@@ -1,11 +1,14 @@
 """Occupancy measures, policy search, MDP regret and hardness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lowpref import (
     NumericalError,
     ValidationError,
+    build_weight_table,
     hardness,
     mdp_hardness,
     mdp_policy_search,
@@ -17,8 +20,9 @@ from lowpref import (
     suboptimality_gaps,
     validate_kernel,
 )
-from lowpref.mdp import _cesaro_projector, policy_objective
+from lowpref.mdp import _cesaro_projector, _optimal_policy, policy_objective
 from lowpref.rng import derive_seed
+from conftest import random_consistent_instance
 
 
 def state_independent_kernel(rho, A):
@@ -260,3 +264,36 @@ class TestMdpHardness:
         _, gammas = mdp_hardness(t2, kernel, t2.rho)
         assert (0, 0) not in gammas  # the optimal policy itself is excluded
         assert set(gammas) == {(0, 1), (1, 0), (1, 1)}
+
+    def test_matches_per_policy_entry_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            v = random_consistent_instance(rng)
+            S, A = v.num_states, v.num_actions
+            kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
+            H, gammas = mdp_hardness(v, kernel, v.rho)
+            expected_H, expected = _mdp_hardness_oracle(v, kernel, v.rho)
+            assert H.hex() == expected_H.hex()
+            assert {p: g.hex() for p, g in gammas.items()} == \
+                {p: g.hex() for p, g in expected.items()}
+
+
+def _mdp_hardness_oracle(v, kernel, rho):
+    """mdp_hardness as it was first written: one span-checked
+    WeightTable.entry per (policy, disagreeing state)."""
+    table = build_weight_table(v.schedule, v.features)
+    rewards = v.rewards()
+    pi_star, best_value = _optimal_policy(v, kernel)
+    S, A = rewards.shape
+    gamma_mdp, H = {}, 0.0
+    for policy in itertools.product(range(A), repeat=S):
+        if policy == pi_star:
+            continue
+        gap = best_value - policy_objective(kernel, rewards, policy, rho)
+        gamma = max(
+            table.entry((k, policy[k], pi_star[k]), v.features).gamma
+            for k in range(S) if policy[k] != pi_star[k]
+        )
+        gamma_mdp[policy] = gamma
+        H = max(H, gamma / gap**2)
+    return H, gamma_mdp
