@@ -8,7 +8,6 @@ from .analysis import (
     hardness,
     kl_bracket,
     lower_bound_adversary,
-    q_membership,
     regret_envelopes,
 )
 from .baseline import MleFit, mle_fit, mle_select, zero_sum_reparam
@@ -51,7 +50,6 @@ from .instances import (
     save_dataset,
     save_instance,
     suboptimality_gaps,
-    true_reward,
     validate_instance,
 )
 from .mdp import (

@@ -30,6 +30,7 @@ from .estimator import WeightTable, consistent_weight_table
 from .instances import (
     Instance,
     make_instance,
+    observed_differences,
     suboptimality_gaps,
 )
 from .privacy import PrivacyParams
@@ -86,35 +87,34 @@ def _consistent_table(v: Instance) -> WeightTable:
         ) from None
 
 
+def _target_entries(v: Instance, table: WeightTable, ref):
+    """Yield ((k, i), ``WeightEntry`` of target (k, i, ref[k])) for each i != ref[k],
+    in (k, i) order; ref is the best actions or the optimal policy."""
+    for k in range(v.num_states):
+        for i in range(v.num_actions):
+            if i != ref[k]:
+                yield (k, i), table.entry((k, i, int(ref[k])), v.features)
+
+
 def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessReport:
     """Compute all per-target coefficients and the hardness maxima."""
     table = _consistent_table(v)
     gaps = suboptimality_gaps(v)
-    best = v.best_actions()
 
-    gamma: dict[tuple[int, int], float] = {}
-    gamma_tilde: dict[tuple[int, int], float] = {}
-    gamma_dp: dict[tuple[int, int], float] = {}
-    gamma_tilde_dp: dict[tuple[int, int], float] = {}
-    ratios: dict[tuple[int, int], float] = {}
-    for k in range(v.num_states):
-        for i in range(v.num_actions):
-            if i == best[k]:
-                continue
-            entry = table.entry((k, i, int(best[k])), v.features)
-            w = entry.weights
-            gamma[(k, i)] = entry.gamma
-            gamma_tilde[(k, i)] = float(np.sum(np.abs(w) / np.sqrt(table.masses)))
-            gamma_dp[(k, i)] = float(np.sum((w / table.masses) ** 2))
-            gamma_tilde_dp[(k, i)] = float(np.sum(np.abs(w) / table.masses))
-            ratios[(k, i)] = entry.gamma / gaps[k, i] ** 2
+    gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, ratios = {}, {}, {}, {}, {}
+    for key, entry in _target_entries(v, table, v.best_actions()):
+        w = entry.weights
+        gamma[key] = entry.gamma
+        gamma_tilde[key] = float(np.sum(np.abs(w) / np.sqrt(table.masses)))
+        gamma_dp[key] = float(np.sum((w / table.masses) ** 2))
+        gamma_tilde_dp[key] = float(np.sum(np.abs(w) / table.masses))
+        ratios[key] = entry.gamma / gaps[key] ** 2
 
     if not ratios:
         raise ValidationError("instance has no suboptimal actions")
     argmax = max(ratios, key=ratios.get)
     H = ratios[argmax]
-    competitors = [r for key, r in ratios.items() if key != argmax]
-    q_member = all(H >= 4 * r for r in competitors)
+    q_member = all(H >= 4 * r for key, r in ratios.items() if key != argmax)
 
     H_dp = None
     if privacy is not None:
@@ -135,11 +135,6 @@ def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessRepor
     )
 
 
-def q_membership(v: Instance) -> bool:
-    """Whether the hardest ratio dominates every competitor by a factor 4."""
-    return hardness(v).q_member
-
-
 def _same_structure(v: Instance, other: Instance) -> bool:
     return (
         v.num_states == other.num_states
@@ -155,9 +150,7 @@ def d_tilde(v: Instance, v_alt: Instance) -> float:
     """Mass-weighted squared relative-reward discrepancy between instances."""
     if not _same_structure(v, v_alt):
         raise ValidationError("instances differ in more than the parameter vector")
-    pairs = v.observed_pairs()
-    diffs = v.features[pairs[:, 0], pairs[:, 1]] - v.features[pairs[:, 0], pairs[:, 2]]
-    masses = v.schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]]
+    _, diffs, masses = observed_differences(v.features, v.schedule)
     gap = diffs @ (v.theta - v_alt.theta)
     return float(np.sum(masses * gap**2))
 
@@ -174,9 +167,7 @@ def kl_bracket(v: Instance, v_alt: Instance, n: int) -> tuple[float, float, floa
     discrepancy by ``2n exp(-4 R_max)`` and ``2n exp(2 R_max)``.
     """
     dt = d_tilde(v, v_alt)
-    pairs = v.observed_pairs()
-    diffs = v.features[pairs[:, 0], pairs[:, 1]] - v.features[pairs[:, 0], pairs[:, 2]]
-    masses = v.schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]]
+    _, diffs, masses = observed_differences(v.features, v.schedule)
     p = 1.0 / (1.0 + np.exp(-(diffs @ v.theta)))
     q = 1.0 / (1.0 + np.exp(-(diffs @ v_alt.theta)))
     exact = float(n * np.sum(masses * _bernoulli_kl(p, q)))

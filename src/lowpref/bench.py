@@ -33,11 +33,12 @@ from .instances import (
     Instance,
     load_instance,
     make_paper_instance,
+    read_json,
     sample_dataset,
     sample_winners,
     sampling_plan,
 )
-from .mdp import TransitionKernel, mdp_regret, rl_low_mdp, validate_kernel
+from .mdp import load_kernel, mdp_regret, rl_low_mdp
 from .privacy import PrivacyParams, gaussian_mechanism
 from .rng import derive_seeds
 
@@ -122,22 +123,27 @@ def simple_regret(v: Instance, selections) -> float:
     return float(np.sum(v.rho * v.gaps[np.arange(v.num_states), idx]))
 
 
-def _refuse_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+def _check_keys(mapping: dict, known: tuple[str, ...], where: str, required=()) -> None:
+    """Refuse a key outside ``known`` and a missing ``required`` one, naming it."""
     unknown = sorted(set(mapping) - set(known))
     if unknown:
         raise ValidationError(
             f"unknown {where} key {unknown[0]!r}; expected one of {', '.join(known)}"
         )
+    missing = [key for key in required if key not in mapping]
+    if missing:
+        raise ValidationError(f"{where} key {missing[0]!r} is missing")
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    _refuse_unknown_keys(payload, _CONFIG_KEYS, "config")
+    _check_keys(payload, _CONFIG_KEYS, "config")
     source = payload.get("instance", {})
-    _refuse_unknown_keys(source, ("generator", "path"), "instance")
+    _check_keys(source, ("generator", "path"), "instance")
     generator = None
     if "generator" in source:
         g = source["generator"]
-        _refuse_unknown_keys(g, ("S", "A", "d", "seed", "gap_step"), "generator")
+        _check_keys(g, ("S", "A", "d", "seed", "gap_step"), "generator",
+                    required=("S", "A", "d", "seed"))
         generator = GeneratorConfig(
             num_states=int(g["S"]),
             num_actions=int(g["A"]),
@@ -147,7 +153,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         )
     privacy = None
     if payload.get("privacy") is not None:
-        _refuse_unknown_keys(payload["privacy"], ("epsilon", "delta"), "privacy")
+        _check_keys(payload["privacy"], ("epsilon", "delta"), "privacy",
+                    required=("epsilon", "delta"))
         privacy = PrivacyParams(
             epsilon=float(payload["privacy"]["epsilon"]),
             delta=float(payload["privacy"]["delta"]),
@@ -166,20 +173,13 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(read_json(path))
 
 
 def _resolve_instance(cfg: ExperimentConfig) -> Instance:
     if cfg.instance_path is not None:
         return load_instance(cfg.instance_path)
     return make_paper_instance(cfg.generator)
-
-
-def _load_kernel(cfg: ExperimentConfig, v: Instance) -> TransitionKernel | None:
-    if cfg.kernel_path is None:
-        return None
-    payload = json.loads(Path(cfg.kernel_path).read_text())
-    return validate_kernel(np.asarray(payload["P"]), (v.num_states, v.num_actions))
 
 
 class _Prepared:
@@ -253,9 +253,9 @@ def _run_cells(v, kernel, cfg, prep, algo, n) -> list[ResultRow]:
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Execute the full sweep; the row order is (algorithm, n, repetition)."""
     v = _resolve_instance(cfg)
-    kernel = _load_kernel(cfg, v)
-    if "rl_low_mdp" in cfg.algorithms and kernel is None:
-        raise ValidationError("rl_low_mdp requires a kernel")
+    kernel = None
+    if cfg.kernel_path is not None:
+        kernel = load_kernel(cfg.kernel_path, (v.num_states, v.num_actions))
     prepared = {n: _Prepared(v, n) for n in cfg.n_grid}
     rows = [
         row

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .analysis import hardness, lower_bound_adversary
 from .bench import emit_outputs, load_config, run_experiment, summarize
 from .errors import InconsistencyError, NumericalError, ValidationError
@@ -25,7 +23,7 @@ from .instances import (
     save_dataset,
     save_instance,
 )
-from .mdp import mdp_regret, rl_low_mdp, validate_kernel
+from .mdp import load_kernel, mdp_regret, rl_low_mdp
 from .privacy import PrivacyParams
 
 
@@ -128,8 +126,7 @@ def _cmd_adversary(args) -> int:
 
 def _cmd_mdp(args) -> int:
     v = load_instance(args.instance)
-    payload = json.loads(open(args.kernel).read())
-    kernel = validate_kernel(np.asarray(payload["P"]), (v.num_states, v.num_actions))
+    kernel = load_kernel(args.kernel, (v.num_states, v.num_actions))
     data = load_dataset(args.dataset)
     policy = rl_low_mdp(
         data, v.features, v.reward_bound, kernel, v.rho, tie_seed=args.tie_seed

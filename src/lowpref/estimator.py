@@ -35,7 +35,6 @@ from .instances import (
     empirical_proportions,
     observed_differences,
     outside_span,
-    pair_counts_and_wins,
     span_rows,
     span_witness,
 )
@@ -117,12 +116,12 @@ class WeightTable:
         if i == j:
             raise ValidationError("weight target requires two distinct actions")
         tdiff = features[k, i] - features[k, j]
-        if outside_span(tdiff, self.basis.vectors):
+        coords = self.basis.coords(tdiff)
+        if outside_span(tdiff, self.basis.vectors, coords):
             raise InconsistencyError(
                 f"target difference {target} lies outside the observed span",
                 witness=(int(k), int(i), int(j)),
             )
-        coords = self.basis.coords(tdiff)
         solved = self.solve(coords)
         weights = self.masses * (self.diff_coords @ solved)
         return WeightEntry(target=(int(k), int(i), int(j)), weights=weights,
@@ -173,7 +172,11 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     design schedule of an instance is an error because the rates divide by
     realised counts.
     """
-    counts, wins = pair_counts_and_wins(data, schedule.shape[:2])
+    S, A = schedule.shape[:2]
+    rec = data.records
+    flat = (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
+    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
+    wins = np.bincount(flat, weights=rec[:, 3], minlength=S * A * A).reshape(S, A, A)
     if not np.array_equal(schedule, counts / data.n):
         raise ValidationError("schedule does not match the dataset's proportions")
     pairs = np.argwhere(counts > 0)
@@ -194,14 +197,26 @@ def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return V
 
 
-def _weight_table(features, pairs, diffs, masses, rows) -> WeightTable:
-    if pairs.shape[0] == 0:
-        raise ValidationError("schedule observes no pairs; span is empty")
-    if rows.shape[0] == 0:
-        raise ValidationError("observed differences are all zero")
-    vectors = rows.copy()
+def _weight_table(schedule: np.ndarray, features: np.ndarray, consistent: bool) -> WeightTable:
+    pairs, diffs, masses = observed_differences(features, schedule)
+    vectors = span_rows(diffs).copy()
     vectors.flags.writeable = False
     basis = SpanBasis(vectors=vectors)
+    # One projection of the S·(A−1) differences against action 0 gives the
+    # estimation targets and, for a consistent table, the witness test.
+    telescoped = features - features[:, :1]
+    target_coords = basis.coords(telescoped)
+    if consistent:
+        witness = span_witness(telescoped, vectors, target_coords)
+        if witness is not None:
+            raise InconsistencyError(
+                f"dataset schedule is inconsistent; witness pair {witness}",
+                witness=witness,
+            )
+    if pairs.shape[0] == 0:
+        raise ValidationError("schedule observes no pairs; span is empty")
+    if vectors.shape[0] == 0:
+        raise ValidationError("observed differences are all zero")
     coords = basis.coords(diffs)
     return WeightTable(
         pairs=pairs,
@@ -209,30 +224,21 @@ def _weight_table(features, pairs, diffs, masses, rows) -> WeightTable:
         diff_coords=coords,
         basis=basis,
         V=build_design_matrix(coords, masses),
-        target_coords=basis.coords(features - features[:, :1]),
+        target_coords=target_coords,
     )
 
 
 def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
     """Span basis, design matrix and target coordinates of a schedule's
     observed differences."""
-    pairs, diffs, masses = observed_differences(features, schedule)
-    return _weight_table(features, pairs, diffs, masses, span_rows(diffs))
+    return _weight_table(schedule, features, consistent=False)
 
 
 def consistent_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
     """``build_weight_table`` for an empirical schedule, refusing one whose
     observed span misses some pairwise difference (reporting the first
-    offending triple)."""
-    pairs, diffs, masses = observed_differences(features, schedule)
-    rows = span_rows(diffs)
-    witness = span_witness(features, rows)
-    if witness is not None:
-        raise InconsistencyError(
-            f"dataset schedule is inconsistent; witness pair {witness}",
-            witness=witness,
-        )
-    return _weight_table(features, pairs, diffs, masses, rows)
+    offending triple, always (k, 0, i); see ``instances.span_witness``)."""
+    return _weight_table(schedule, features, consistent=True)
 
 
 def local_weights_qp_oracle(

@@ -215,31 +215,9 @@ def _first_duplicate_features(features: np.ndarray) -> tuple[int, int, int] | No
     return k, i, int(second) % A
 
 
-def true_reward(v: Instance, k: int, i: int) -> float:
-    """Reward of action ``i`` in state ``k``: ``<features[k, i], theta>``."""
-    if not (0 <= k < v.num_states and 0 <= i < v.num_actions):
-        raise ValidationError(f"state/action index ({k}, {i}) out of range")
-    return float(v.features[k, i] @ v.theta)
-
-
 def suboptimality_gaps(v: Instance) -> np.ndarray:
     """Per-(state, action) reward deficit against the state's best action."""
     return v.gaps
-
-
-def all_pair_differences(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered difference features[k, i] - features[k, j] with i < j.
-
-    Returns (triples, diffs) where triples is (m, 3) int and diffs is (m, d).
-    """
-    S, A, _ = features.shape
-    iu, ju = np.triu_indices(A, k=1)
-    triples = []
-    diffs = []
-    for k in range(S):
-        diffs.append(features[k, iu] - features[k, ju])
-        triples.append(np.column_stack([np.full(iu.shape, k), iu, ju]))
-    return np.concatenate(triples), np.concatenate(diffs)
 
 
 def observed_differences(
@@ -247,12 +225,8 @@ def observed_differences(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triples, feature differences and masses of the observed (N > 0) pairs."""
     pairs = np.argwhere(schedule > 0)
-    if pairs.size:
-        diffs = features[pairs[:, 0], pairs[:, 1]] - features[pairs[:, 0], pairs[:, 2]]
-    else:
-        diffs = np.zeros((0, features.shape[2]))
-    masses = schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] if pairs.size else np.zeros(0)
-    return pairs, diffs, masses
+    diffs = features[pairs[:, 0], pairs[:, 1]] - features[pairs[:, 0], pairs[:, 2]]
+    return pairs, diffs, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]]
 
 
 def span_rows(diffs: np.ndarray) -> np.ndarray:
@@ -267,27 +241,41 @@ def span_rows(diffs: np.ndarray) -> np.ndarray:
     return vh[: int(np.sum(sing > RANK_RTOL * sing[0]))]
 
 
-def outside_span(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def outside_span(vectors: np.ndarray, rows: np.ndarray, coords=None) -> np.ndarray:
     """Whether each vector (last axis) leaves the span of orthonormal ``rows``:
-    its residual exceeds ``SPAN_RTOL * (1 + |vector|)``."""
-    residual = vectors - (vectors @ rows.T) @ rows
+    its residual exceeds ``SPAN_RTOL * (1 + |vector|)``.  ``coords`` are the
+    vectors' coordinates ``vectors @ rows.T``, if the caller has them."""
+    if coords is None:
+        coords = vectors @ rows.T
+    residual = vectors - coords @ rows
     limit = SPAN_RTOL * (1 + np.linalg.norm(vectors, axis=-1))
     return np.linalg.norm(residual, axis=-1) > limit
 
 
-def span_witness(features: np.ndarray, rows: np.ndarray) -> tuple[int, int, int] | None:
-    """First (k, i, j), i < j, whose difference leaves the span of ``rows``, else None."""
-    triples, targets = all_pair_differences(features)
-    bad = np.flatnonzero(outside_span(targets, rows))
-    return tuple(int(x) for x in triples[bad[0]]) if bad.size else None
+def span_witness(
+    telescoped: np.ndarray, rows: np.ndarray, coords=None
+) -> tuple[int, int, int] | None:
+    """First (k, 0, i) whose difference leaves the span of ``rows``, else None.
+
+    ``telescoped`` holds ``f[k, i] − f[k, 0]`` as (S, A, d), S·(A−1) of them
+    besides the zeros at i = 0; ``coords`` are their coordinates, if known.  Since
+    ``f[k, i] − f[k, j]`` is the difference of two of them, every pair lies in
+    the span iff these do, and (k, 0, ·) precedes every other triple of state
+    k: in exact arithmetic this is the first triple a scan of all pairs
+    (k, i < j) finds.  The ``SPAN_RTOL`` test applies to the telescoped
+    vectors, so a pair with i, j > 0 may carry about twice that residual.
+    """
+    bad = np.argwhere(outside_span(telescoped, rows, coords))
+    return (int(bad[0, 0]), 0, int(bad[0, 1])) if bad.size else None
 
 
 def consistency_witness(
     features: np.ndarray, schedule: np.ndarray
 ) -> tuple[int, int, int] | None:
-    """First (k, i, j) whose difference leaves the observed span, else None."""
+    """First (k, i < j) whose difference leaves the observed span, else None;
+    by telescoping (``span_witness``) it is always a (k, 0, i)."""
     _, observed, _ = observed_differences(features, schedule)
-    return span_witness(features, span_rows(observed))
+    return span_witness(features - features[:, :1], span_rows(observed))
 
 
 def check_consistency(v: Instance) -> tuple[bool, tuple[int, int, int] | None]:
@@ -402,18 +390,6 @@ def empirical_proportions(data: PreferenceDataset, dims: tuple[int, int]) -> np.
     return counts / data.n
 
 
-def pair_counts_and_wins(
-    data: PreferenceDataset, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Record counts and first-action win counts as (S, A, A) tensors."""
-    S, A = dims
-    rec = data.records
-    flat = (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
-    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
-    wins = np.bincount(flat, weights=rec[:, 3], minlength=S * A * A).reshape(S, A, A)
-    return counts, wins
-
-
 # ---------------------------------------------------------------------------
 # File formats.  Floats go through json/repr, which round-trips binary64.
 
@@ -453,8 +429,16 @@ def save_instance(v: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(v)) + "\n")
 
 
+def read_json(path: str | Path):
+    """Parsed contents of a JSON file; one that does not parse is refused."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(read_json(path))
 
 
 def save_dataset(data: PreferenceDataset, path: str | Path) -> None:
@@ -464,12 +448,21 @@ def save_dataset(data: PreferenceDataset, path: str | Path) -> None:
         writer.writerows(data.records.tolist())
 
 
+def _record(path, line: int, row: list[str]) -> list[int]:
+    try:
+        if len(row) == 4:
+            return [int(cell) for cell in row]
+    except ValueError:
+        pass
+    raise ValidationError(f"{path} line {line} is not four integers: {row}")
+
+
 def load_dataset(path: str | Path) -> PreferenceDataset:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["state", "first", "second", "winner_is_first"]:
             raise ValidationError(f"unexpected dataset header: {header}")
-        rows = [[int(cell) for cell in row] for row in reader if row]
+        rows = [_record(path, line, row) for line, row in enumerate(reader, 2) if row]
     records = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     return PreferenceDataset(records=records, n=max(len(rows), 1))

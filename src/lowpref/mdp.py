@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _consistent_table, _target_entries
 from .errors import NumericalError, ValidationError
-from .estimator import build_weight_table, rl_low
-from .instances import Instance, PreferenceDataset
+from .estimator import rl_low
+from .instances import Instance, PreferenceDataset, read_json
 from .rng import substream
 
 POWER_ITERATION_CAP = 100_000
@@ -41,7 +42,10 @@ class TransitionKernel:
 
 def validate_kernel(P: np.ndarray, dims: tuple[int, int]) -> TransitionKernel:
     S, A = dims
-    P = np.array(P, dtype=np.float64, copy=True)
+    try:
+        P = np.array(P, dtype=np.float64, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"kernel is not a numeric array: {exc}") from None
     if P.shape != (S, A, S):
         raise ValidationError(f"kernel shape {P.shape} != {(S, A, S)}")
     if not np.all(np.isfinite(P)):
@@ -53,6 +57,14 @@ def validate_kernel(P: np.ndarray, dims: tuple[int, int]) -> TransitionKernel:
         raise ValidationError("each kernel row must sum to 1")
     P.flags.writeable = False
     return TransitionKernel(P=P)
+
+
+def load_kernel(path, dims: tuple[int, int]) -> TransitionKernel:
+    """The kernel of a JSON file ``{"P": [[[...]]]}``, validated for (S, A)."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or "P" not in payload:
+        raise ValidationError(f"kernel file {path} has no key 'P'")
+    return validate_kernel(payload["P"], dims)
 
 
 def _policy_matrix(kernel: TransitionKernel, policy: Policy) -> np.ndarray:
@@ -244,11 +256,13 @@ def mdp_hardness(
     v: Instance, kernel: TransitionKernel, rho: np.ndarray
 ) -> tuple[float, dict[Policy, float]]:
     """Hardness over alternative policies: worst disagreement-pair variance
-    proxy divided by the squared objective gap."""
-    table = build_weight_table(v.schedule, v.features)
+    proxy divided by the squared objective gap.  Refuses an inconsistent
+    instance as ``hardness`` does, before the optimum's uniqueness check."""
+    table = _consistent_table(v)
     rewards = v.rewards()
     pi_star, best_value = _optimal_policy(v, kernel)
     S, A = rewards.shape
+    gamma = {key: entry.gamma for key, entry in _target_entries(v, table, pi_star)}
 
     gamma_mdp: dict[Policy, float] = {}
     H = 0.0
@@ -256,11 +270,8 @@ def mdp_hardness(
         if policy == pi_star:
             continue
         gap = best_value - policy_objective(kernel, rewards, policy, rho)
-        disagreements = [k for k in range(S) if policy[k] != pi_star[k]]
-        gamma = max(
-            table.entry((k, policy[k], pi_star[k]), v.features).gamma
-            for k in disagreements
+        gamma_mdp[policy] = max(
+            gamma[(k, a)] for k, a in enumerate(policy) if a != pi_star[k]
         )
-        gamma_mdp[policy] = gamma
-        H = max(H, gamma / gap**2)
+        H = max(H, gamma_mdp[policy] / gap**2)
     return H, gamma_mdp

@@ -15,7 +15,6 @@ from lowpref import (
     kl_bracket,
     lower_bound_adversary,
     make_instance,
-    q_membership,
     regret_envelopes,
     suboptimality_gaps,
 )
@@ -74,10 +73,10 @@ class TestHardness:
 
 class TestQMembership:
     def test_t1_vacuous(self, t1):
-        assert q_membership(t1)
+        assert hardness(t1).q_member
 
     def test_equal_ratios_fail(self, t2):
-        assert not q_membership(t2)
+        assert not hardness(t2).q_member
 
     def test_dominant_ratio_passes(self):
         # Orthogonal per-state feature directions with unequal comparison
@@ -97,7 +96,7 @@ class TestQMembership:
             (g / gaps[key] ** 2 for key, g in report.gamma.items()), reverse=True
         )
         assert ratios[0] >= 4 * ratios[1]
-        assert q_membership(v)
+        assert report.q_member
 
 
 class TestDiscrepancy:

@@ -181,3 +181,52 @@ def test_numerical_exit_code(tmp_path, capsys):
     save_instance(v, path)
     assert main(["adversary", "--instance", str(path), "--out",
                  str(tmp_path / "alt.json")]) == 4
+
+
+def test_kernel_without_p_exits_2_in_mdp(mdp_args, capsys):
+    kernel_path = mdp_args[4]
+    open(kernel_path, "w").write(json.dumps({"Q": []}))
+    capsys.readouterr()
+    assert main(mdp_args) == 2
+    assert f"kernel file {kernel_path} has no key 'P'" in capsys.readouterr().err
+
+
+def test_kernel_without_p_exits_2_in_run(tmp_path, instance_path, capsys):
+    kernel_path = tmp_path / "kernel.json"
+    kernel_path.write_text(json.dumps({"Q": []}))
+    config = {"instance": {"path": str(instance_path)}, "algorithms": ["rl_low_mdp"],
+              "kernel": str(kernel_path), "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"kernel file {kernel_path} has no key 'P'" in capsys.readouterr().err
+
+
+def test_generator_without_a_exits_2(tmp_path, capsys):
+    config = {"instance": {"generator": {"S": 2, "d": 3, "seed": 7}},
+              "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "generator key 'A' is missing" in capsys.readouterr().err
+
+
+def test_non_integer_dataset_cell_exits_2(mdp_args, capsys):
+    data_path = mdp_args[-1]
+    lines = open(data_path).read().splitlines()
+    lines[3] = "0,0,x,1"
+    open(data_path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(mdp_args) == 2
+    assert f"{data_path} line 4 is not four integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["instance", "kernel"])
+def test_unparseable_json_exits_2(mdp_args, which, capsys):
+    path = mdp_args[2] if which == "instance" else mdp_args[4]
+    open(path, "w").write('{"S": 2,')
+    capsys.readouterr()
+    assert main(mdp_args) == 2
+    assert f"{path} is not valid JSON" in capsys.readouterr().err

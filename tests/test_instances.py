@@ -23,7 +23,6 @@ from lowpref import (
     save_dataset,
     save_instance,
     suboptimality_gaps,
-    true_reward,
     validate_instance,
 )
 from lowpref.instances import (
@@ -148,12 +147,8 @@ class TestDuplicateFeatures:
 
 class TestRewardsAndGaps:
     def test_t1_rewards(self, t1):
-        assert true_reward(t1, 0, 0) == 1.0
-        assert true_reward(t1, 0, 1) == 0.0
-
-    def test_index_out_of_range(self, t1):
-        with pytest.raises(ValidationError):
-            true_reward(t1, 0, 2)
+        assert t1.rewards()[0, 0] == 1.0
+        assert t1.rewards()[0, 1] == 0.0
 
     def test_t1_gaps(self, t1):
         assert np.allclose(suboptimality_gaps(t1), [[0.0, 1.0]])

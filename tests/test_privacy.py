@@ -15,6 +15,7 @@ from lowpref import (
     gaussian_mechanism,
     rl_low,
     sample_dataset,
+    SuccessRates,
     sensitivity_audit,
     success_rates,
 )
@@ -26,6 +27,15 @@ EXPECTED_STD = math.sqrt(2 * math.log(1.25 / 0.2)) / (0.9 * 100 * 1.0)
 
 def zero_noise(seed, pairs, stds):
     return np.zeros(len(stds))
+
+
+def stacked_draws(rates, schedule, n, draws):
+    """Noise of ``draws`` mechanism calls with seeds 0, 1, ..., one row per
+    seed: one call on stacked rates with a seed column gives the draws that
+    one call per seed gives."""
+    stacked = SuccessRates.of(rates.pairs, np.tile(rates.raw, (draws, 1)), rates.clip_bound)
+    perturbed = gaussian_mechanism(stacked, schedule, n, PRIVACY, np.arange(draws)[:, None])
+    return perturbed.raw - rates.raw
 
 
 def noise_stds(rates, schedule, n, monkeypatch):
@@ -93,10 +103,7 @@ class TestMechanism:
 
     def test_empirical_std_calibration(self, t1):
         data, schedule, rates = self._rates(t1)
-        draws = np.empty(100_000)
-        for s in range(draws.size):
-            perturbed = gaussian_mechanism(rates, schedule, 100, PRIVACY, seed=s)
-            draws[s] = perturbed.raw[0] - rates.raw[0]
+        draws = stacked_draws(rates, schedule, 100, 100_000)[:, 0]
         measured = draws.std(ddof=1)
         assert abs(measured - EXPECTED_STD) <= 0.02 * EXPECTED_STD
         assert abs(draws.mean()) <= 4 * EXPECTED_STD / math.sqrt(draws.size)
@@ -105,12 +112,7 @@ class TestMechanism:
         data = sample_dataset(tri, 50, seed=0)
         schedule = empirical_proportions(data, (1, 3))
         rates = success_rates(data, schedule, tri.reward_bound)
-        a = np.empty(100_000)
-        b = np.empty(100_000)
-        for s in range(a.size):
-            p = gaussian_mechanism(rates, schedule, 50, PRIVACY, seed=s)
-            a[s] = p.raw[0] - rates.raw[0]
-            b[s] = p.raw[1] - rates.raw[1]
+        a, b = stacked_draws(rates, schedule, 50, 100_000).T
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 0.02
 
