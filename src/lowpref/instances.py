@@ -420,7 +420,7 @@ def instance_from_dict(payload: dict) -> Instance:
         v = make_instance(
             payload["features"], payload["theta"], payload["rho"], schedule, payload["L"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed instance payload: {exc}") from exc
     return validate_instance(v)
 

@@ -230,3 +230,13 @@ def test_unparseable_json_exits_2(mdp_args, which, capsys):
     capsys.readouterr()
     assert main(mdp_args) == 2
     assert f"{path} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("S", "two"), ("features", [[[1.0, 2.0], [1.0]]])])
+def test_malformed_instance_field_exits_2(instance_path, field, value, capsys):
+    payload = json.loads(instance_path.read_text())
+    payload[field] = value
+    instance_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["analyze", "--instance", str(instance_path)]) == 2
+    assert "malformed instance payload" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from lowpref import (
     PreferenceDataset,
     PrivacyParams,
+    SuccessRates,
     ValidationError,
     build_weight_table,
     dp_rl_low,
@@ -15,7 +16,6 @@ from lowpref import (
     gaussian_mechanism,
     rl_low,
     sample_dataset,
-    SuccessRates,
     sensitivity_audit,
     success_rates,
 )
