@@ -1,5 +1,6 @@
 """Experiment harness: seeding, determinism, summaries, artifact output."""
 
+import itertools
 import json
 import math
 
@@ -22,10 +23,12 @@ from lowpref import (
     sample_dataset,
     save_instance,
     simple_regret,
+    stationary_distribution,
     summarize,
+    validate_kernel,
 )
 from lowpref.bench import config_from_dict
-from lowpref.rng import derive_seed
+from lowpref.rng import derive_seed, substream
 
 
 @pytest.fixture()
@@ -140,15 +143,21 @@ class TestRunExperiment:
             seeds.setdefault((row.n, row.rep), set()).add(row.seed)
         assert all(len(s) == 1 for s in seeds.values())
 
-    def test_cells_match_public_pipeline(self, t1_path, t1, paper_instance):
+    def test_cells_match_public_pipeline(self, t1_path, t1, paper_instance, tmp_path):
         """Every cell's regret equals, bit for bit, the public call on
         ``sample_dataset`` with the cell's data, noise and tie seeds."""
         privacy = PrivacyParams(epsilon=0.9, delta=0.2)
         paper_cfg = GeneratorConfig(num_states=2, num_actions=10, dim=5, seed=7)
+        P = np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 10))
+        kernel = validate_kernel(P, (2, 10))
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps({"P": P.tolist()}))
         cases = (
             (t1, dict(instance_path=t1_path), (10, 30), 5, ("rl_low",), 7),
             (paper_instance, dict(generator=paper_cfg), (50, 100, 400), 30,
              ("rl_low", "dp_rl_low", "mle"), 5),
+            (paper_instance, dict(generator=paper_cfg, kernel_path=str(kernel_path)),
+             (50, 100, 400), 10, ("rl_low_mdp",), 5),
         )
         for v, source, grid, reps, algorithms, master in cases:
             cfg = ExperimentConfig(n_grid=grid, repetitions=reps, algorithms=algorithms,
@@ -165,8 +174,13 @@ class TestRunExperiment:
                     noise = derive_seed(master, row.algo, row.n, row.rep, "noise")
                     selections = dp_rl_low(data, v.features, L, privacy, seed=noise,
                                            tie_seed=tie).selections
-                else:
+                elif row.algo == "mle":
                     selections = mle_select(mle_fit(data, v.features, L), v.features, tie)
+                else:
+                    rhat = rl_low(data, v.features, L, tie_seed=tie).rhat
+                    regret = _mdp_regret_oracle(v, kernel, rhat, tie)
+                    assert regret == row.regret, (row.algo, row.n, row.rep)
+                    continue
                 assert simple_regret(v, selections) == row.regret, (row.algo, row.n, row.rep)
 
     def test_exact_binomial_oracle_at_small_scale(self, t1_path):
@@ -182,6 +196,24 @@ class TestRunExperiment:
         mean = np.mean([row.regret for row in table.rows])
         p = 0.17808367369704667
         assert abs(mean - p) <= 4 * math.sqrt(p * (1 - p) / 2000)
+
+
+def _mdp_regret_oracle(v, kernel, rhat, tie_seed):
+    """Regret of the policy ``rl_low_mdp`` picks from ``rhat``, by one
+    ``stationary_distribution`` call per enumerated policy."""
+    S, A = rhat.shape
+    policies = list(itertools.product(range(A), repeat=S))
+    occupancy = [stationary_distribution(kernel, p, v.rho) for p in policies]
+
+    def values(rewards):
+        return [float(mu @ rewards[np.arange(S), p]) for mu, p in zip(occupancy, policies)]
+
+    estimated = values(rhat)
+    tied = [p for p, value in zip(policies, estimated) if value == max(estimated)]
+    policy = tied[substream(tie_seed, "policy-tie").integers(len(tied))] if len(tied) > 1 \
+        else tied[0]
+    true = values(v.rewards())
+    return max(max(true) - true[policies.index(policy)], 0.0)
 
 
 class TestSummaries:

@@ -10,6 +10,7 @@ from lowpref import (
     ValidationError,
     build_weight_table,
     hardness,
+    make_instance,
     mdp_hardness,
     mdp_policy_search,
     mdp_regret,
@@ -18,6 +19,7 @@ from lowpref import (
     sample_dataset,
     stationary_distribution,
     suboptimality_gaps,
+    validate_instance,
     validate_kernel,
 )
 from lowpref.mdp import _cesaro_projector, _optimal_policy, policy_objective
@@ -191,6 +193,47 @@ class TestPolicySearch:
                 ve = policy_objective(kernel, rhat, by_enum, rho)
                 vi = policy_objective(kernel, rhat, by_iter, rho)
                 assert abs(ve - vi) < 1e-9
+
+
+class TestEnumerationOracle:
+    def test_matches_per_policy_objective_oracle(self):
+        """Search, optimum and regret equal the per-policy ``policy_objective``
+        enumeration bit for bit, with one kernel object serving two initial
+        laws and several reward matrices in turn."""
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            base = random_consistent_instance(rng)
+            S, A = base.num_states, base.num_actions
+            kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
+            laws = (rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(S)))
+            for turn in range(6):
+                rho = laws[turn % 2]
+                rhat = rng.normal(size=(S, A))
+                values = _objective_oracle(kernel, rhat, rho)
+                expected = max(values, key=values.get)
+                found = mdp_policy_search(rhat, kernel, rho, "enumerate")
+                assert found == expected
+                assert policy_objective(kernel, rhat, found, rho).hex() == \
+                    values[expected].hex()
+
+                theta = rng.normal(size=base.dim)
+                bound = float(np.max(np.abs(base.features @ theta))) + 0.1
+                v = validate_instance(make_instance(base.features, theta, rho,
+                                                    base.schedule, bound))
+                true = _objective_oracle(kernel, v.rewards(), rho)
+                pi_star = max(true, key=true.get)
+                best, best_value = _optimal_policy(v, kernel)
+                assert (best, best_value.hex()) == (pi_star, true[pi_star].hex())
+                assert {p: mdp_regret(v, kernel, p).hex() for p in true} == \
+                    {p: max(true[pi_star] - value, 0.0).hex() for p, value in true.items()}
+
+
+def _objective_oracle(kernel, rewards, rho):
+    """Every policy's objective, one ``policy_objective`` call each, in
+    lexicographic order."""
+    S, A = rewards.shape
+    return {p: policy_objective(kernel, rewards, p, rho)
+            for p in itertools.product(range(A), repeat=S)}
 
 
 class TestMdpRegret:
