@@ -38,7 +38,7 @@ from .instances import (
     sample_winners,
     sampling_plan,
 )
-from .mdp import load_kernel, mdp_regret, rl_low_mdp
+from .mdp import load_kernel, mdp_policy_search, mdp_regret
 from .privacy import PrivacyParams, gaussian_mechanism
 from .rng import derive_seeds
 
@@ -135,6 +135,14 @@ def _check_keys(mapping: dict, known: tuple[str, ...], where: str, required=()) 
         raise ValidationError(f"{where} key {missing[0]!r} is missing")
 
 
+def _number(value, key: str, where: str, integer: bool = False):
+    """A config value as int (JSON integer) or float (any JSON number)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{where} key {key!r} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
     _check_keys(payload, _CONFIG_KEYS, "config")
     source = payload.get("instance", {})
@@ -145,29 +153,33 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         _check_keys(g, ("S", "A", "d", "seed", "gap_step"), "generator",
                     required=("S", "A", "d", "seed"))
         generator = GeneratorConfig(
-            num_states=int(g["S"]),
-            num_actions=int(g["A"]),
-            dim=int(g["d"]),
-            seed=int(g["seed"]),
-            gap_step=float(g.get("gap_step", 0.05)),
+            num_states=_number(g["S"], "S", "generator", integer=True),
+            num_actions=_number(g["A"], "A", "generator", integer=True),
+            dim=_number(g["d"], "d", "generator", integer=True),
+            seed=_number(g["seed"], "seed", "generator", integer=True),
+            gap_step=_number(g.get("gap_step", 0.05), "gap_step", "generator"),
         )
     privacy = None
     if payload.get("privacy") is not None:
         _check_keys(payload["privacy"], ("epsilon", "delta"), "privacy",
                     required=("epsilon", "delta"))
         privacy = PrivacyParams(
-            epsilon=float(payload["privacy"]["epsilon"]),
-            delta=float(payload["privacy"]["delta"]),
+            epsilon=_number(payload["privacy"]["epsilon"], "epsilon", "privacy"),
+            delta=_number(payload["privacy"]["delta"], "delta", "privacy"),
         )
+    grid = payload.get("n_grid", list(ExperimentConfig.n_grid))
+    if not isinstance(grid, list):
+        raise ValidationError(f"config key 'n_grid' must be a list, got {grid!r}")
+    repetitions = payload.get("repetitions", 200)
     return ExperimentConfig(
         instance_path=source.get("path"),
         generator=generator,
-        n_grid=tuple(payload.get("n_grid", (50, 100, 150, 200, 250, 300, 350, 400))),
-        repetitions=int(payload.get("repetitions", 200)),
+        n_grid=tuple(_number(n, "n_grid", "config", integer=True) for n in grid),
+        repetitions=_number(repetitions, "repetitions", "config", integer=True),
         algorithms=tuple(payload.get("algorithms", ("rl_low",))),
         privacy=privacy,
         kernel_path=payload.get("kernel"),
-        master_seed=int(payload.get("master_seed", 0)),
+        master_seed=_number(payload.get("master_seed", 0), "master_seed", "config", integer=True),
         out_dir=payload.get("out_dir", "results"),
     )
 
@@ -218,7 +230,7 @@ def _run_cells(v, kernel, cfg, prep, algo, n) -> list[ResultRow]:
     reps = np.arange(cfg.repetitions)
     data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)
     tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie").tolist()
-    if algo in ("rl_low", "dp_rl_low"):
+    if algo != "mle":
         rates = prep.rates(data_seeds, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
@@ -229,21 +241,19 @@ def _run_cells(v, kernel, cfg, prep, algo, n) -> list[ResultRow]:
     rows = []
     for rep in range(cfg.repetitions):
         start = time.perf_counter()
-        if algo in ("rl_low", "dp_rl_low"):
-            cell = SuccessRates(rates.pairs, rates.raw[rep], rates.clipped[rep],
-                                rates.clip_bound)
-            rhat = estimate_relative_rewards(cell, prep.table, v.features)
-            regret = simple_regret(v, select_best_actions(rhat, tie_seeds[rep])[0])
-        elif algo == "mle":
+        if algo == "mle":
             data = sample_dataset(v, n, data_seeds[rep])
             fit = mle_fit(data, v.features, v.reward_bound)
             regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
-        else:  # rl_low_mdp
-            data = sample_dataset(v, n, data_seeds[rep])
-            policy = rl_low_mdp(
-                data, v.features, v.reward_bound, kernel, v.rho, tie_seeds[rep]
-            )
-            regret = mdp_regret(v, kernel, policy)
+        else:
+            cell = SuccessRates(rates.pairs, rates.raw[rep], rates.clipped[rep],
+                                rates.clip_bound)
+            rhat = estimate_relative_rewards(cell, prep.table, v.features)
+            if algo == "rl_low_mdp":  # rl_low_mdp discards the static selection
+                policy = mdp_policy_search(rhat, kernel, v.rho, tie_seed=tie_seeds[rep])
+                regret = mdp_regret(v, kernel, policy)
+            else:
+                regret = simple_regret(v, select_best_actions(rhat, tie_seeds[rep])[0])
         wall_ms = (time.perf_counter() - start) * 1000.0 + share_ms
         rows.append(ResultRow(algo=algo, n=n, rep=rep, seed=data_seeds[rep],
                               regret=regret, wall_ms=wall_ms))

@@ -108,18 +108,12 @@ class GeneratorConfig:
     dim: int
     seed: int
     gap_step: float = 0.05
-    epsilon: float | None = None
-    delta: float | None = None
 
     def __post_init__(self):
         if self.num_states < 1 or self.num_actions < 2 or self.dim < 1:
             raise ValidationError("generator requires S >= 1, A >= 2, d >= 1")
         if not self.gap_step > 0:
             raise ValidationError("gap_step must be positive")
-        for name in ("epsilon", "delta"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < 1:
-                raise ValidationError(f"{name} must lie strictly in (0, 1)")
 
 
 def make_instance(features, theta, rho, schedule, reward_bound) -> Instance:
@@ -430,9 +424,11 @@ def save_instance(v: Instance, path: str | Path) -> None:
 
 
 def read_json(path: str | Path):
-    """Parsed contents of a JSON file; one that does not parse is refused."""
+    """Parsed contents of a JSON file; one that cannot be read or parsed is refused."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
@@ -458,11 +454,14 @@ def _record(path, line: int, row: list[str]) -> list[int]:
 
 
 def load_dataset(path: str | Path) -> PreferenceDataset:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["state", "first", "second", "winner_is_first"]:
-            raise ValidationError(f"unexpected dataset header: {header}")
-        rows = [_record(path, line, row) for line, row in enumerate(reader, 2) if row]
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header != ["state", "first", "second", "winner_is_first"]:
+                raise ValidationError(f"unexpected dataset header: {header}")
+            rows = [_record(path, line, row) for line, row in enumerate(reader, 2) if row]
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     records = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     return PreferenceDataset(records=records, n=max(len(rows), 1))

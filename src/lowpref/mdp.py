@@ -16,8 +16,7 @@ for the average-reward criterion.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,9 +34,13 @@ Policy = tuple[int, ...]
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """State transition probabilities P[k, i, k'] for each (state, action)."""
+    """State transition probabilities P[k, i, k'] for each (state, action).
+
+    Keeps the occupancies of all Π = A^S policies from one initial law once
+    built: Π×S float64 and Π×S int64 policy rows, 16·S·A^S bytes."""
 
     P: np.ndarray  # (S, A, S)
+    _occupancy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def validate_kernel(P: np.ndarray, dims: tuple[int, int]) -> TransitionKernel:
@@ -131,12 +134,19 @@ def policy_objective(
     return float(occupancy @ r_pi)
 
 
-def _enumerate_policies(S: int, A: int):
-    if A**S > ENUMERATION_CAP:
-        raise ValidationError(
-            f"policy space A^S = {A}^{S} exceeds the enumeration cap"
-        )
-    return itertools.product(range(A), repeat=S)
+def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray):
+    """Every policy as a row, in lexicographic order, and its ``policy_objective``.
+    Occupancy does not depend on the rewards, so it is built once per (kernel, rho)."""
+    cache, rho = kernel._occupancy, np.array(rho, dtype=np.float64)
+    if not np.array_equal(cache.get("rho"), rho):
+        S, A = kernel.P.shape[:2]
+        if A**S > ENUMERATION_CAP:
+            raise ValidationError(f"policy space A^S = {A}^{S} exceeds the enumeration cap")
+        policies = np.indices((A,) * S).reshape(S, -1).T
+        mu = np.array([stationary_distribution(kernel, p, rho) for p in policies])
+        cache.update(rho=rho, policies=policies, mu=mu)
+    r_pi = rewards[np.arange(rewards.shape[0]), cache["policies"]]
+    return cache["policies"], [float(m @ r) for m, r in zip(cache["mu"], r_pi)]
 
 
 def _search_enumerate(
@@ -147,12 +157,10 @@ def _search_enumerate(
     Returns (argmax policy, value, policies within tie_atol of the value);
     the argmax is the lexicographically smallest among exact maxima.
     """
-    S, A = rewards.shape
-    policies = list(_enumerate_policies(S, A))
-    values = [policy_objective(kernel, rewards, policy, rho) for policy in policies]
+    policies, values = _policy_values(kernel, rewards, rho)
     best_value = max(values)
-    best = policies[values.index(best_value)]
-    tied = [p for p, val in zip(policies, values) if val >= best_value - tie_atol]
+    best = tuple(policies[values.index(best_value)].tolist())
+    tied = [tuple(p) for p, val in zip(policies.tolist(), values) if val >= best_value - tie_atol]
     return best, best_value, tied
 
 
@@ -234,7 +242,8 @@ def _optimal_policy(
 def mdp_regret(v: Instance, kernel: TransitionKernel, policy: Policy) -> float:
     """Occupancy-weighted reward shortfall of a policy against the optimum."""
     _, best_value = _optimal_policy(v, kernel)
-    value = policy_objective(kernel, v.rewards(), tuple(policy), v.rho)
+    _, values = _policy_values(kernel, v.rewards(), v.rho)
+    value = values[np.ravel_multi_index(tuple(policy), (v.num_actions,) * v.num_states)]
     return max(best_value - value, 0.0)
 
 
@@ -261,15 +270,15 @@ def mdp_hardness(
     table = _consistent_table(v)
     rewards = v.rewards()
     pi_star, best_value = _optimal_policy(v, kernel)
-    S, A = rewards.shape
     gamma = {key: entry.gamma for key, entry in _target_entries(v, table, pi_star)}
 
     gamma_mdp: dict[Policy, float] = {}
     H = 0.0
-    for policy in _enumerate_policies(S, A):
+    policies, values = _policy_values(kernel, rewards, rho)
+    for policy, value in zip(map(tuple, policies.tolist()), values):
         if policy == pi_star:
             continue
-        gap = best_value - policy_objective(kernel, rewards, policy, rho)
+        gap = best_value - value
         gamma_mdp[policy] = max(
             gamma[(k, a)] for k, a in enumerate(policy) if a != pi_star[k]
         )

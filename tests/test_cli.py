@@ -240,3 +240,44 @@ def test_malformed_instance_field_exits_2(instance_path, field, value, capsys):
     capsys.readouterr()
     assert main(["analyze", "--instance", str(instance_path)]) == 2
     assert "malformed instance payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--config", "--kernel", "--dataset"])
+def test_missing_input_file_exits_2(tmp_path, mdp_args, flag, capsys):
+    missing = str(tmp_path / "nonexistent")
+    if flag == "--config":
+        args = ["run", "--config", missing]
+    else:
+        args = list(mdp_args)
+        args[args.index(flag) + 1] = missing
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"cannot read {missing}: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(privacy={"epsilon": "high", "delta": 0.2}),
+     "privacy key 'epsilon' must be a number, got 'high'"),
+    (lambda c: c.update(privacy={"epsilon": 0.9, "delta": None}),
+     "privacy key 'delta' must be a number, got None"),
+    (lambda c: c["instance"]["generator"].update(S="2"),
+     "generator key 'S' must be an integer, got '2'"),
+    (lambda c: c["instance"]["generator"].update(gap_step=[0.1]),
+     "generator key 'gap_step' must be a number, got [0.1]"),
+    (lambda c: c.update(repetitions=2.5), "config key 'repetitions' must be an integer, got 2.5"),
+    (lambda c: c.update(repetitions=True), "config key 'repetitions' must be an integer, got True"),
+    (lambda c: c.update(n_grid=[50, "100"]), "config key 'n_grid' must be an integer, got '100'"),
+    (lambda c: c.update(n_grid=50), "config key 'n_grid' must be a list, got 50"),
+])
+def test_wrong_typed_config_value_exits_2(tmp_path, edit, message, capsys):
+    config = {"instance": {"generator": {"S": 2, "A": 4, "d": 3, "seed": 7}},
+              "algorithms": ["rl_low", "dp_rl_low"],
+              "privacy": {"epsilon": 0.9, "delta": 0.2},
+              "n_grid": [50], "repetitions": 2, "out_dir": str(tmp_path / "out")}
+    edit(config)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
