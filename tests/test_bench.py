@@ -209,7 +209,8 @@ def _mdp_regret_oracle(v, kernel, rhat, tie_seed):
         return [float(mu @ rewards[np.arange(S), p]) for mu, p in zip(occupancy, policies)]
 
     estimated = values(rhat)
-    tied = [p for p, value in zip(policies, estimated) if value == max(estimated)]
+    best = max(estimated)
+    tied = [p for p, value in zip(policies, estimated) if value == best]
     policy = tied[substream(tie_seed, "policy-tie").integers(len(tied))] if len(tied) > 1 \
         else tied[0]
     true = values(v.rewards())
