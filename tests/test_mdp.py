@@ -23,7 +23,7 @@ from lowpref import (
     validate_kernel,
 )
 from lowpref.mdp import _cesaro_projector, _optimal_policy, policy_objective
-from lowpref.rng import derive_seed
+from lowpref.rng import derive_seed, substream
 from conftest import random_consistent_instance
 
 
@@ -199,33 +199,77 @@ class TestEnumerationOracle:
     def test_matches_per_policy_objective_oracle(self):
         """Search, optimum and regret equal the per-policy ``policy_objective``
         enumeration bit for bit, with one kernel object serving two initial
-        laws and several reward matrices in turn."""
+        laws and several reward matrices in turn.  Deterministic and
+        self-loop kernels with rewards rounded to one decimal make policies
+        tie exactly: a seeded search draws from the lexicographic tie list,
+        and an instance whose optimum ties is refused."""
         rng = np.random.default_rng(41)
         for _ in range(12):
             base = random_consistent_instance(rng)
             S, A = base.num_states, base.num_actions
             kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
-            laws = (rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(S)))
-            for turn in range(6):
-                rho = laws[turn % 2]
-                rhat = rng.normal(size=(S, A))
-                values = _objective_oracle(kernel, rhat, rho)
-                expected = max(values, key=values.get)
-                found = mdp_policy_search(rhat, kernel, rho, "enumerate")
-                assert found == expected
-                assert policy_objective(kernel, rhat, found, rho).hex() == \
-                    values[expected].hex()
+            _check_enumeration(rng, base, kernel, decimals=None)
+        rng = np.random.default_rng(43)
+        drawn_later = 0
+        for trial in range(24):
+            base = random_consistent_instance(rng)
+            S, A = base.num_states, base.num_actions
+            if trial % 2:
+                kernel = self_loop_kernel(S, A)
+            else:
+                P = np.zeros((S, A, S))
+                P[np.arange(S)[:, None], np.arange(A)[None, :],
+                  rng.integers(0, S, size=(S, A))] = 1.0
+                kernel = validate_kernel(P, (S, A))
+            drawn_later += _check_enumeration(rng, base, kernel, decimals=1)
+        assert drawn_later > 0  # some seeded draws pick a tie after the first
 
-                theta = rng.normal(size=base.dim)
-                bound = float(np.max(np.abs(base.features @ theta))) + 0.1
-                v = validate_instance(make_instance(base.features, theta, rho,
-                                                    base.schedule, bound))
-                true = _objective_oracle(kernel, v.rewards(), rho)
-                pi_star = max(true, key=true.get)
-                best, best_value = _optimal_policy(v, kernel)
-                assert (best, best_value.hex()) == (pi_star, true[pi_star].hex())
-                assert {p: mdp_regret(v, kernel, p).hex() for p in true} == \
-                    {p: max(true[pi_star] - value, 0.0).hex() for p, value in true.items()}
+
+def _check_enumeration(rng, base, kernel, decimals):
+    """Check search, seeded search, optimum and regret against
+    ``_objective_oracle`` for six reward draws on one kernel; returns how
+    many seeded searches drew a tied policy other than the first."""
+    S, A = base.num_states, base.num_actions
+    laws = (rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(S)))
+    drawn_later = 0
+    for turn in range(6):
+        rho = laws[turn % 2]
+        rhat = rng.normal(size=(S, A))
+        if decimals is not None:
+            rhat = np.round(rhat, decimals)
+        values = _objective_oracle(kernel, rhat, rho)
+        expected = max(values, key=values.get)
+        found = mdp_policy_search(rhat, kernel, rho, "enumerate")
+        assert found == expected
+        assert policy_objective(kernel, rhat, found, rho).hex() == \
+            values[expected].hex()
+        tied = [p for p, value in values.items() if value == values[expected]]
+        for seed in range(4):
+            drawn = mdp_policy_search(rhat, kernel, rho, "enumerate", tie_seed=seed)
+            if len(tied) > 1:
+                assert drawn == tied[substream(seed, "policy-tie").integers(len(tied))]
+            else:
+                assert drawn == expected
+            drawn_later += drawn != expected
+
+        theta = rng.normal(size=base.dim)
+        bound = float(np.max(np.abs(base.features @ theta))) + 0.1
+        v = validate_instance(make_instance(base.features, theta, rho,
+                                            base.schedule, bound))
+        true = _objective_oracle(kernel, v.rewards(), rho)
+        pi_star = max(true, key=true.get)
+        atol = 1e-9 * max(1.0, float(np.max(np.abs(v.rewards()))))
+        if sum(value >= true[pi_star] - atol for value in true.values()) > 1:
+            with pytest.raises(ValidationError, match="not unique"):
+                _optimal_policy(v, kernel)
+            with pytest.raises(ValidationError, match="not unique"):
+                mdp_regret(v, kernel, pi_star)
+            continue
+        best, best_value = _optimal_policy(v, kernel)
+        assert (best, best_value.hex()) == (pi_star, true[pi_star].hex())
+        assert {p: mdp_regret(v, kernel, p).hex() for p in true} == \
+            {p: max(true[pi_star] - value, 0.0).hex() for p, value in true.items()}
+    return drawn_later
 
 
 def _objective_oracle(kernel, rewards, rho):
@@ -309,11 +353,16 @@ class TestMdpHardness:
         assert set(gammas) == {(0, 1), (1, 0), (1, 1)}
 
     def test_matches_per_policy_entry_oracle(self):
+        # Self-loop kernels keep the occupancy at the instance's own
+        # non-uniform law, which then weights every objective gap.
         rng = np.random.default_rng(17)
-        for _ in range(40):
+        for trial in range(60):
             v = random_consistent_instance(rng)
             S, A = v.num_states, v.num_actions
-            kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
+            if trial < 40:
+                kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
+            else:
+                kernel = self_loop_kernel(S, A)
             H, gammas = mdp_hardness(v, kernel, v.rho)
             expected_H, expected = _mdp_hardness_oracle(v, kernel, v.rho)
             assert H.hex() == expected_H.hex()
