@@ -135,8 +135,8 @@ def policy_objective(
 
 
 def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray):
-    """Every policy as a row, in lexicographic order, and its ``policy_objective``.
-    Occupancy does not depend on the rewards, so it is built once per (kernel, rho)."""
+    """Every policy as a row, in lexicographic order, and a float64 array of their
+    ``policy_objective``s.  Occupancy, free of the rewards, is built once per (kernel, rho)."""
     cache, rho = kernel._occupancy, np.array(rho, dtype=np.float64)
     if not np.array_equal(cache.get("rho"), rho):
         S, A = kernel.P.shape[:2]
@@ -146,22 +146,18 @@ def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarra
         mu = np.array([stationary_distribution(kernel, p, rho) for p in policies])
         cache.update(rho=rho, policies=policies, mu=mu)
     r_pi = rewards[np.arange(rewards.shape[0]), cache["policies"]]
-    return cache["policies"], [float(m @ r) for m, r in zip(cache["mu"], r_pi)]
+    return cache["policies"], np.array([float(m @ r) for m, r in zip(cache["mu"], r_pi)])
 
 
 def _search_enumerate(
     kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray, tie_atol: float = 0.0
-) -> tuple[Policy, float, list[Policy]]:
-    """Best policy by exhaustion.
-
-    Returns (argmax policy, value, policies within tie_atol of the value);
-    the argmax is the lexicographically smallest among exact maxima.
-    """
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Best policy by exhaustion: the policy rows and values of
+    ``_policy_values``, the index of the first exact maximum (the
+    lexicographically smallest) and the indices within tie_atol of it."""
     policies, values = _policy_values(kernel, rewards, rho)
-    best_value = max(values)
-    best = tuple(policies[values.index(best_value)].tolist())
-    tied = [tuple(p) for p, val in zip(policies.tolist(), values) if val >= best_value - tie_atol]
-    return best, best_value, tied
+    best = int(np.argmax(values))
+    return policies, values, best, np.flatnonzero(values >= values[best] - tie_atol)
 
 
 def _search_iterate(
@@ -215,36 +211,34 @@ def mdp_policy_search(
     if mode == "auto":
         mode = "enumerate" if A**S <= 10_000 else "iterate"
     if mode == "enumerate":
-        first, _, tied = _search_enumerate(kernel, rhat, rho)
+        policies, _, best, tied = _search_enumerate(kernel, rhat, rho)
         if tie_seed is not None and len(tied) > 1:
-            return tied[substream(tie_seed, "policy-tie").integers(len(tied))]
-        return first
+            best = tied[substream(tie_seed, "policy-tie").integers(len(tied))]
+        return tuple(policies[best].tolist())
     if mode == "iterate":
         return _search_iterate(kernel, rhat)
     raise ValidationError(f"unknown policy search mode: {mode}")
 
 
-def _optimal_policy(
-    v: Instance, kernel: TransitionKernel
-) -> tuple[Policy, float]:
+def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, int]:
+    """Policy rows, true values under ``v.rho`` and the index of the unique optimum."""
     rewards = v.rewards()
     # Occupancies carry ~1e-10 iteration residue, so uniqueness is judged
     # at a matching tolerance rather than exact equality.
     atol = 1e-9 * max(1.0, float(np.max(np.abs(rewards))))
-    best, value, tied = _search_enumerate(kernel, rewards, v.rho, tie_atol=atol)
+    policies, values, best, tied = _search_enumerate(kernel, rewards, v.rho, tie_atol=atol)
     if len(tied) > 1:
         raise ValidationError(
-            f"optimal policy is not unique: {len(tied)} policies attain {value}"
+            f"optimal policy is not unique: {len(tied)} policies attain {float(values[best])}"
         )
-    return best, value
+    return policies, values, best
 
 
 def mdp_regret(v: Instance, kernel: TransitionKernel, policy: Policy) -> float:
     """Occupancy-weighted reward shortfall of a policy against the optimum."""
-    _, best_value = _optimal_policy(v, kernel)
-    _, values = _policy_values(kernel, v.rewards(), v.rho)
-    value = values[np.ravel_multi_index(tuple(policy), (v.num_actions,) * v.num_states)]
-    return max(best_value - value, 0.0)
+    _, values, best = _optimal_policy(v, kernel)
+    index = np.ravel_multi_index(tuple(policy), (v.num_actions,) * v.num_states)
+    return max(float(values[best] - values[index]), 0.0)
 
 
 def rl_low_mdp(
@@ -254,28 +248,25 @@ def rl_low_mdp(
     kernel: TransitionKernel,
     rho: np.ndarray,
     tie_seed: int = 0,
-    mode: str = "auto",
 ) -> Policy:
     """Estimate relative rewards from comparisons, then search for a policy."""
     report = rl_low(data, features, L, tie_seed=tie_seed)
-    return mdp_policy_search(report.rhat, kernel, rho, mode=mode, tie_seed=tie_seed)
+    return mdp_policy_search(report.rhat, kernel, rho, tie_seed=tie_seed)
 
 
-def mdp_hardness(
-    v: Instance, kernel: TransitionKernel, rho: np.ndarray
-) -> tuple[float, dict[Policy, float]]:
-    """Hardness over alternative policies: worst disagreement-pair variance
-    proxy divided by the squared objective gap.  Refuses an inconsistent
-    instance as ``hardness`` does, before the optimum's uniqueness check."""
+def mdp_hardness(v: Instance, kernel: TransitionKernel) -> tuple[float, dict[Policy, float]]:
+    """Hardness over alternative policies under the instance's law ``v.rho``:
+    worst disagreement-pair variance proxy divided by the squared objective
+    gap.  Refuses an inconsistent instance as ``hardness`` does, before the
+    optimum's uniqueness check."""
     table = _consistent_table(v)
-    rewards = v.rewards()
-    pi_star, best_value = _optimal_policy(v, kernel)
+    policies, values, best = _optimal_policy(v, kernel)
+    pi_star, best_value = tuple(policies[best].tolist()), float(values[best])
     gamma = {key: entry.gamma for key, entry in _target_entries(v, table, pi_star)}
 
     gamma_mdp: dict[Policy, float] = {}
     H = 0.0
-    policies, values = _policy_values(kernel, rewards, rho)
-    for policy, value in zip(map(tuple, policies.tolist()), values):
+    for policy, value in zip(map(tuple, policies.tolist()), values.tolist()):
         if policy == pi_star:
             continue
         gap = best_value - value

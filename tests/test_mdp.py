@@ -265,7 +265,8 @@ def _check_enumeration(rng, base, kernel, decimals):
             with pytest.raises(ValidationError, match="not unique"):
                 mdp_regret(v, kernel, pi_star)
             continue
-        best, best_value = _optimal_policy(v, kernel)
+        policies, values, best = _optimal_policy(v, kernel)
+        best, best_value = tuple(policies[best].tolist()), float(values[best])
         assert (best, best_value.hex()) == (pi_star, true[pi_star].hex())
         assert {p: mdp_regret(v, kernel, p).hex() for p in true} == \
             {p: max(true[pi_star] - value, 0.0).hex() for p, value in true.items()}
@@ -327,7 +328,7 @@ class TestPipelineReduction:
 class TestMdpHardness:
     def test_single_state_equals_static(self, t1):
         kernel = self_loop_kernel(1, 2)
-        H, gammas = mdp_hardness(t1, kernel, t1.rho)
+        H, gammas = mdp_hardness(t1, kernel)
         assert H == pytest.approx(hardness(t1).H, abs=1e-12)
         assert gammas[(1,)] == pytest.approx(1.0, abs=1e-12)
 
@@ -336,7 +337,7 @@ class TestMdpHardness:
         # rho-weighted sum of its per-state gaps, so the maximum ratio is
         # attained at single-state deviations.
         kernel = state_independent_kernel(t2.rho, A=2)
-        H, _ = mdp_hardness(t2, kernel, t2.rho)
+        H, _ = mdp_hardness(t2, kernel)
         report = hardness(t2)
         gaps = suboptimality_gaps(t2)
         expected = max(
@@ -348,7 +349,7 @@ class TestMdpHardness:
 
     def test_only_disagreeing_policies_contribute(self, t2):
         kernel = state_independent_kernel(t2.rho, A=2)
-        _, gammas = mdp_hardness(t2, kernel, t2.rho)
+        _, gammas = mdp_hardness(t2, kernel)
         assert (0, 0) not in gammas  # the optimal policy itself is excluded
         assert set(gammas) == {(0, 1), (1, 0), (1, 1)}
 
@@ -363,7 +364,7 @@ class TestMdpHardness:
                 kernel = validate_kernel(rng.dirichlet(np.ones(S), size=(S, A)), (S, A))
             else:
                 kernel = self_loop_kernel(S, A)
-            H, gammas = mdp_hardness(v, kernel, v.rho)
+            H, gammas = mdp_hardness(v, kernel)
             expected_H, expected = _mdp_hardness_oracle(v, kernel, v.rho)
             assert H.hex() == expected_H.hex()
             assert {p: g.hex() for p, g in gammas.items()} == \
@@ -375,7 +376,8 @@ def _mdp_hardness_oracle(v, kernel, rho):
     WeightTable.entry per (policy, disagreeing state)."""
     table = build_weight_table(v.schedule, v.features)
     rewards = v.rewards()
-    pi_star, best_value = _optimal_policy(v, kernel)
+    policies, values, best = _optimal_policy(v, kernel)
+    pi_star, best_value = tuple(policies[best].tolist()), float(values[best])
     S, A = rewards.shape
     gamma_mdp, H = {}, 0.0
     for policy in itertools.product(range(A), repeat=S):
