@@ -40,7 +40,6 @@ from .instances import (
     GeneratorConfig,
     Instance,
     PreferenceDataset,
-    check_consistency,
     empirical_proportions,
     load_dataset,
     load_instance,

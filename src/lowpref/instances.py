@@ -272,12 +272,6 @@ def consistency_witness(
     return span_witness(features - features[:, :1], span_rows(observed))
 
 
-def check_consistency(v: Instance) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether every pairwise difference lies in the observed-difference span."""
-    witness = consistency_witness(v.features, v.schedule)
-    return witness is None, witness
-
-
 def make_paper_instance(cfg: GeneratorConfig) -> Instance:
     """Synthetic benchmark instance: simplex features with a fixed reward ladder.
 

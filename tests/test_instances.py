@@ -13,7 +13,6 @@ from lowpref import (
     GeneratorConfig,
     PreferenceDataset,
     ValidationError,
-    check_consistency,
     empirical_proportions,
     load_dataset,
     load_instance,
@@ -170,20 +169,18 @@ class TestRewardsAndGaps:
 
 class TestConsistency:
     def test_t1_consistent(self, t1):
-        assert check_consistency(t1) == (True, None)
+        assert consistency_witness(t1.features, t1.schedule) is None
 
     def test_empty_schedule_inconsistent(self):
         empty = _t1_like(schedule=[[[0.0, 0.0], [0.0, 0.0]]])
-        consistent, witness = check_consistency(empty)
-        assert not consistent and witness == (0, 0, 1)
+        assert consistency_witness(empty.features, empty.schedule) == (0, 0, 1)
 
     def test_planar_missing_direction(self):
         features = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]])
         schedule = np.zeros((1, 3, 3))
         schedule[0, 0, 1] = 1.0
         v = make_instance(features, [1.0, -0.5], [1.0], schedule, 1.0)
-        consistent, witness = check_consistency(v)
-        assert not consistent and witness == (0, 0, 2)
+        assert consistency_witness(v.features, v.schedule) == (0, 0, 2)
 
     def test_agrees_with_lstsq_oracle(self):
         rng = np.random.default_rng(2024)
@@ -196,7 +193,7 @@ class TestConsistency:
                 k, i, j = pairs[rng.integers(len(pairs))]
                 schedule[k, i, j] = 0.0
             probe = make_instance(v.features, v.theta, v.rho, schedule, v.reward_bound)
-            consistent, witness = check_consistency(probe)
+            witness = consistency_witness(probe.features, probe.schedule)
 
             obs = np.argwhere(schedule > 0)
             basis_cols = (
@@ -216,9 +213,7 @@ class TestConsistency:
                             resid = float(np.linalg.norm(target))
                         if resid > 1e-9 * (1 + np.linalg.norm(target)):
                             oracle = False
-            assert consistent == oracle
-            if not consistent:
-                assert witness is not None
+            assert (witness is None) == oracle
 
 
 def _pairwise_scan_witness(features, schedule):
@@ -317,7 +312,7 @@ class TestGenerator:
             assert np.max(np.abs(v.rewards() - expected[None, :])) < 1e-12
 
     def test_generated_instance_consistent(self, paper_instance):
-        assert check_consistency(paper_instance)[0]
+        assert consistency_witness(paper_instance.features, paper_instance.schedule) is None
 
     def test_uniform_rho_when_not_two_states(self):
         v = make_paper_instance(GeneratorConfig(3, 4, 3, seed=5))
