@@ -135,52 +135,55 @@ def _check_keys(mapping: dict, known: tuple[str, ...], where: str, required=()) 
         raise ValidationError(f"{where} key {missing[0]!r} is missing")
 
 
-def _number(value, key: str, where: str, integer: bool = False):
-    """A config value as int (JSON integer) or float (any JSON number)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"{where} key {key!r} must be {kind}, got {value!r}")
-    return value if integer else float(value)
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
+
+
+def _value(value, key: str, where: str, kind: type = float):
+    """A config value of the JSON type ``kind``; a float accepts any JSON number."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{where} key {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
     _check_keys(payload, _CONFIG_KEYS, "config")
-    source = payload.get("instance", {})
+    source = _value(payload.get("instance", {}), "instance", "config", dict)
     _check_keys(source, ("generator", "path"), "instance")
     generator = None
     if "generator" in source:
-        g = source["generator"]
+        g = _value(source["generator"], "generator", "instance", dict)
         _check_keys(g, ("S", "A", "d", "seed", "gap_step"), "generator",
                     required=("S", "A", "d", "seed"))
         generator = GeneratorConfig(
-            num_states=_number(g["S"], "S", "generator", integer=True),
-            num_actions=_number(g["A"], "A", "generator", integer=True),
-            dim=_number(g["d"], "d", "generator", integer=True),
-            seed=_number(g["seed"], "seed", "generator", integer=True),
-            gap_step=_number(g.get("gap_step", 0.05), "gap_step", "generator"),
+            num_states=_value(g["S"], "S", "generator", int),
+            num_actions=_value(g["A"], "A", "generator", int),
+            dim=_value(g["d"], "d", "generator", int),
+            seed=_value(g["seed"], "seed", "generator", int),
+            gap_step=_value(g.get("gap_step", 0.05), "gap_step", "generator"),
         )
-    privacy = None
-    if payload.get("privacy") is not None:
-        _check_keys(payload["privacy"], ("epsilon", "delta"), "privacy",
+    privacy = payload.get("privacy")
+    if privacy is not None:
+        _check_keys(_value(privacy, "privacy", "config", dict), ("epsilon", "delta"), "privacy",
                     required=("epsilon", "delta"))
         privacy = PrivacyParams(
-            epsilon=_number(payload["privacy"]["epsilon"], "epsilon", "privacy"),
-            delta=_number(payload["privacy"]["delta"], "delta", "privacy"),
+            epsilon=_value(privacy["epsilon"], "epsilon", "privacy"),
+            delta=_value(privacy["delta"], "delta", "privacy"),
         )
-    grid = payload.get("n_grid", list(ExperimentConfig.n_grid))
-    if not isinstance(grid, list):
-        raise ValidationError(f"config key 'n_grid' must be a list, got {grid!r}")
-    repetitions = payload.get("repetitions", 200)
+    grid = _value(payload.get("n_grid", list(ExperimentConfig.n_grid)), "n_grid", "config", list)
+    algorithms = _value(payload.get("algorithms", ["rl_low"]), "algorithms", "config", list)
+    path, kernel = source.get("path"), payload.get("kernel")
     return ExperimentConfig(
-        instance_path=source.get("path"),
+        instance_path=None if path is None else _value(path, "path", "instance", str),
         generator=generator,
-        n_grid=tuple(_number(n, "n_grid", "config", integer=True) for n in grid),
-        repetitions=_number(repetitions, "repetitions", "config", integer=True),
-        algorithms=tuple(payload.get("algorithms", ("rl_low",))),
+        n_grid=tuple(_value(n, "n_grid", "config", int) for n in grid),
+        repetitions=_value(payload.get("repetitions", 200), "repetitions", "config", int),
+        algorithms=tuple(_value(a, "algorithms", "config", str) for a in algorithms),
         privacy=privacy,
-        kernel_path=payload.get("kernel"),
-        master_seed=_number(payload.get("master_seed", 0), "master_seed", "config", integer=True),
-        out_dir=payload.get("out_dir", "results"),
+        kernel_path=None if kernel is None else _value(kernel, "kernel", "config", str),
+        master_seed=_value(payload.get("master_seed", 0), "master_seed", "config", int),
+        out_dir=_value(payload.get("out_dir", "results"), "out_dir", "config", str),
     )
 
 

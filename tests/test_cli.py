@@ -268,6 +268,17 @@ def test_missing_input_file_exits_2(tmp_path, mdp_args, flag, capsys):
     (lambda c: c.update(repetitions=True), "config key 'repetitions' must be an integer, got True"),
     (lambda c: c.update(n_grid=[50, "100"]), "config key 'n_grid' must be an integer, got '100'"),
     (lambda c: c.update(n_grid=50), "config key 'n_grid' must be a list, got 50"),
+    (lambda c: c.update(out_dir=5), "config key 'out_dir' must be a string, got 5"),
+    (lambda c: c.update(kernel=3), "config key 'kernel' must be a string, got 3"),
+    (lambda c: c.update(instance={"path": 7}), "instance key 'path' must be a string, got 7"),
+    (lambda c: c.update(algorithms="rl_low"),
+     "config key 'algorithms' must be a list, got 'rl_low'"),
+    (lambda c: c.update(algorithms=[["rl_low"]]),
+     "config key 'algorithms' must be a string, got ['rl_low']"),
+    (lambda c: c.update(instance=7), "config key 'instance' must be an object, got 7"),
+    (lambda c: c["instance"].update(generator=5),
+     "instance key 'generator' must be an object, got 5"),
+    (lambda c: c.update(privacy=5), "config key 'privacy' must be an object, got 5"),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, edit, message, capsys):
     config = {"instance": {"generator": {"S": 2, "A": 4, "d": 3, "seed": 7}},
