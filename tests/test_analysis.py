@@ -1,26 +1,36 @@
 """Hardness coefficients, discrepancy/KL machinery, adversary construction."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lowpref import (
+    HardnessReport,
+    InconsistencyError,
     NumericalError,
     PrivacyParams,
     ValidationError,
     alt_minimizer,
+    build_weight_table,
     d_tilde,
     hardness,
     kl_bracket,
+    load_instance,
     lower_bound_adversary,
     make_instance,
+    mdp_hardness,
     regret_envelopes,
     suboptimality_gaps,
+    validate_kernel,
 )
 from conftest import random_consistent_instance
 
 PRIVACY = PrivacyParams(epsilon=0.9, delta=0.2)
+COMMITTED = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
+)
 
 
 def with_theta(v, theta):
@@ -319,3 +329,163 @@ class TestEnvelopes:
         payload = report.to_json_dict()
         assert payload["gamma"] == {"0,1": 1.0}
         assert payload["q_member"] is True
+
+
+def _hardness_oracle(v, privacy=None):
+    """hardness as a per-target loop: one span-checked ``WeightTable.entry``
+    per (k, i, best[k]) in (k, i) order, then the four sums of its weights."""
+    table = build_weight_table(v.schedule, v.features)
+    best, gaps = v.best_actions(), suboptimality_gaps(v)
+    gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, ratios = {}, {}, {}, {}, {}
+    for k in range(v.num_states):
+        for i in range(v.num_actions):
+            if i == best[k]:
+                continue
+            entry = table.entry((k, i, int(best[k])), v.features)
+            w = entry.weights
+            gamma[(k, i)] = entry.gamma
+            gamma_tilde[(k, i)] = float(np.sum(np.abs(w) / np.sqrt(table.masses)))
+            gamma_dp[(k, i)] = float(np.sum((w / table.masses) ** 2))
+            gamma_tilde_dp[(k, i)] = float(np.sum(np.abs(w) / table.masses))
+            ratios[(k, i)] = entry.gamma / gaps[k, i] ** 2
+    argmax = max(ratios, key=ratios.get)
+    H = float(ratios[argmax])
+    H_dp = None
+    if privacy is not None:
+        H_dp = max(
+            math.sqrt(math.log(1.25 / privacy.delta) * g)
+            / (math.sqrt(privacy.epsilon) * gaps[key])
+            for key, g in gamma_dp.items()
+        )
+    q_member = all(H >= 4 * r for key, r in ratios.items() if key != argmax)
+    return HardnessReport(
+        gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, H, H_dp, q_member, argmax
+    )
+
+
+def _adversary_oracle(v):
+    """lower_bound_adversary as the composition hardness -> alt_minimizer at
+    twice the argmax gap -> hardness of the alternative when q_member."""
+    report = _hardness_oracle(v)
+    k_bar, i_bar = report.argmax
+    best = v.best_actions()
+    z = v.features[k_bar, i_bar] - v.features[k_bar, int(best[k_bar])]
+    pair = alt_minimizer(v, z, 2 * float(suboptimality_gaps(v)[k_bar, i_bar]))
+    alt_best = pair.alt.best_actions()
+    problems = [
+        f"best action changed in untouched state {k}"
+        for k in range(v.num_states)
+        if k != k_bar and alt_best[k] != best[k]
+    ]
+    if alt_best[k_bar] != i_bar:
+        problems.append(
+            f"target action {i_bar} is not optimal in state {k_bar} "
+            f"under the alternative"
+        )
+    if report.q_member and not problems:
+        H, H_alt = report.H, _hardness_oracle(pair.alt).H
+        if not (H * (1 - 1e-9) <= H_alt <= 8 * H * (1 + 1e-9)):
+            problems.append(f"hardness bracket violated: {H} <= {H_alt} <= {8 * H}")
+    if problems:
+        raise NumericalError("adversary construction failed: " + "; ".join(problems))
+    return pair
+
+
+def _assert_same_report(got, want):
+    names = ("gamma", "gamma_tilde", "gamma_dp", "gamma_tilde_dp")
+    for name in names:
+        assert list(getattr(got, name)) == list(getattr(want, name))
+    assert {key: g.hex() for key, g in got.gamma.items()} == {
+        key: g.hex() for key, g in want.gamma.items()
+    }
+    assert (got.H.hex(), got.argmax, got.q_member) == (
+        want.H.hex(), want.argmax, want.q_member
+    )
+    # The other three sums may be accumulated in another order.
+    for name in names[1:]:
+        for key, value in getattr(want, name).items():
+            assert getattr(got, name)[key] == pytest.approx(value, rel=1e-12, abs=0)
+    if want.H_dp is None:
+        assert got.H_dp is None
+    else:
+        assert got.H_dp == pytest.approx(want.H_dp, rel=1e-12, abs=0)
+
+
+def _random_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_consistent_instance(rng, s_max=4, a_max=6) for _ in range(count)]
+
+
+class TestHardnessOracle:
+    """hardness against the per-target loop: gamma, H, argmax and q_member
+    bit for bit, the other sums to 1e-12 relative."""
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_committed_instances(self, path):
+        v = load_instance(path)
+        _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
+
+    def test_fixtures(self, t1, t2, tri):
+        for v in (t1, t2, tri):
+            _assert_same_report(hardness(v), _hardness_oracle(v))
+            _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
+
+    def test_random_instances(self):
+        for v in _random_instances(41, 50):
+            _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
+
+
+class TestAdversaryOracle:
+    """lower_bound_adversary against the composition it replaces."""
+
+    @staticmethod
+    def _assert_same_pair(v):
+        try:
+            want = _adversary_oracle(v)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as got:
+                lower_bound_adversary(v)
+            assert str(got.value) == str(exc)
+            return
+        got = lower_bound_adversary(v)
+        assert got.alt.theta.tobytes() == want.alt.theta.tobytes()
+        assert got.z.tobytes() == want.z.tobytes()
+        assert (got.dtilde_value.hex(), got.eta.hex()) == (
+            want.dtilde_value.hex(), want.eta.hex()
+        )
+
+    def test_q_member_fixture(self, t1):
+        assert hardness(t1).q_member
+        self._assert_same_pair(t1)
+
+    def test_shared_geometry_failure(self, t2):
+        self._assert_same_pair(t2)
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_committed_instances(self, path):
+        self._assert_same_pair(load_instance(path))
+
+    def test_random_instances(self):
+        for v in _random_instances(43, 30):
+            self._assert_same_pair(v)
+
+
+def test_inconsistent_instance_refused_alike():
+    # State 0 spans the plane z = 0; action 2 of state 1 leaves it.
+    features = np.zeros((2, 3, 3))
+    features[0, :, :2] = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+    features[1] = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    schedule = np.zeros((2, 3, 3))
+    schedule[0, 0, 1] = schedule[0, 0, 2] = 0.3
+    schedule[0, 1, 2] = schedule[1, 0, 1] = 0.2
+    v = make_instance(features, [1.0, -0.5, 0.2], [0.5, 0.5], schedule, 1.0)
+    kernel = validate_kernel(np.full((2, 3, 2), 0.5), (2, 3))
+    for call in (
+        lambda: hardness(v),
+        lambda: lower_bound_adversary(v),
+        lambda: mdp_hardness(v, kernel),
+    ):
+        with pytest.raises(InconsistencyError) as exc:
+            call()
+        assert str(exc.value) == "instance is inconsistent; witness pair (1, 0, 2)"
+        assert exc.value.witness == (1, 0, 2)

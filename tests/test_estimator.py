@@ -22,7 +22,7 @@ from lowpref import (
     select_best_actions,
     success_rates,
 )
-from lowpref.estimator import SpanBasis, SuccessRates, WeightTable
+from lowpref.estimator import SpanBasis, SuccessRates, WeightTable, dataset_inputs
 from conftest import random_consistent_instance
 
 
@@ -90,6 +90,41 @@ class TestSuccessRates:
         data = sample_dataset(t1, 5, seed=0)
         with pytest.raises(ValidationError, match="proportions"):
             success_rates(data, t1.schedule * 0.5, L=1.0)
+
+    def test_dataset_inputs_match_public_composition(self, paper_instance, t1):
+        # dataset_inputs counts the records once; its schedule and rates must
+        # be the bytes of empirical_proportions followed by success_rates.
+        rng = np.random.default_rng(31)
+        instances = [paper_instance, t1] + [
+            random_consistent_instance(rng, s_max=4, a_max=6) for _ in range(20)
+        ]
+        for v in instances:
+            data = sample_dataset(v, int(rng.integers(40, 400)), seed=int(rng.integers(1e6)))
+            schedule = empirical_proportions(data, (v.num_states, v.num_actions))
+            want = success_rates(data, schedule, v.reward_bound)
+            try:
+                got_schedule, got, _ = dataset_inputs(data, v.features, v.reward_bound)
+            except InconsistencyError:
+                continue  # an unobserved chain link
+            assert got_schedule.tobytes() == schedule.tobytes()
+            assert np.array_equal(got.pairs, want.pairs)
+            assert got.raw.tobytes() == want.raw.tobytes()
+            assert got.clipped.tobytes() == want.clipped.tobytes()
+            assert got.clip_bound == want.clip_bound
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [([1, 0, 1, 1], "state index"), ([-1, 0, 1, 1], "state index"),
+         ([0, 0, 2, 1], "action index")],
+    )
+    def test_out_of_range_records_refused(self, t1, record, reason):
+        data = PreferenceDataset(records=np.array([[0, 0, 1, 1], record]), n=2)
+        for call in (
+            lambda: empirical_proportions(data, (1, 2)),
+            lambda: rl_low(data, t1.features, t1.reward_bound),
+        ):
+            with pytest.raises(ValidationError, match=reason):
+                call()
 
 
 class TestSpanBasis:
