@@ -31,9 +31,13 @@ from .instances import (
     Instance,
     make_instance,
     observed_differences,
+    outside_span,
     suboptimality_gaps,
 )
 from .privacy import PrivacyParams
+
+# Bytes of the block of weight rows that hardness's pair sums hold at a time.
+PAIR_SUM_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -50,19 +54,12 @@ class HardnessReport:
     argmax: tuple[int, int]
 
     def to_json_dict(self) -> dict:
-        def keyed(mapping):
-            return {f"{k},{i}": value for (k, i), value in mapping.items()}
-
-        return {
-            "gamma": keyed(self.gamma),
-            "gamma_tilde": keyed(self.gamma_tilde),
-            "gamma_dp": keyed(self.gamma_dp),
-            "gamma_tilde_dp": keyed(self.gamma_tilde_dp),
-            "H": self.H,
-            "H_dp": self.H_dp,
-            "q_member": self.q_member,
-            "argmax": list(self.argmax),
+        payload = {
+            name: {f"{k},{i}": value for (k, i), value in getattr(self, name).items()}
+            for name in ("gamma", "gamma_tilde", "gamma_dp", "gamma_tilde_dp")
         }
+        return payload | {"H": self.H, "H_dp": self.H_dp, "q_member": self.q_member,
+                          "argmax": list(self.argmax)}
 
 
 @dataclass(frozen=True)
@@ -87,51 +84,55 @@ def _consistent_table(v: Instance) -> WeightTable:
         ) from None
 
 
-def _target_entries(v: Instance, table: WeightTable, ref):
-    """Yield ((k, i), ``WeightEntry`` of target (k, i, ref[k])) for each i != ref[k],
-    in (k, i) order; ref is the best actions or the optimal policy."""
-    for k in range(v.num_states):
-        for i in range(v.num_actions):
-            if i != ref[k]:
-                yield (k, i), table.entry((k, i, int(ref[k])), v.features)
+def _targets(v: Instance, table: WeightTable, ref: np.ndarray):
+    """Keys (k, i), ``V^{-1}`` solves and gammas of the targets f[k, i] − f[k, ref[k]] for
+    i != ref[k] (ref: the best actions or a policy), in (k, i) order.  One stacked pass of
+    ``WeightTable.entry``'s products, LAPACK solve and span refusal: gammas keep their bits."""
+    ks, iz = np.nonzero(np.arange(v.num_actions) != ref[:, None])
+    tdiff = v.features[ks, iz] - v.features[ks, ref[ks]]
+    coords = tdiff[:, None, :] @ table.basis.vectors.T
+    bad = np.flatnonzero(outside_span(tdiff, table.basis.vectors, coords[:, 0]))
+    if bad.size:
+        target = (int(ks[bad[0]]), int(iz[bad[0]]), int(ref[ks[bad[0]]]))
+        raise InconsistencyError(
+            f"target difference {target} lies outside the observed span", witness=target
+        )
+    solved = np.linalg.solve(np.broadcast_to(table.V, (ks.size, *table.V.shape)),
+                             coords.transpose(0, 2, 1))
+    return list(zip(ks.tolist(), iz.tolist())), solved[:, :, 0], (coords @ solved)[:, 0, 0]
+
+
+def _gamma_hardness(v: Instance, table: WeightTable):
+    """Targets against the best actions, their gaps, and from gamma alone H, argmax, q_member."""
+    keys, solved, gamma = _targets(v, table, v.best_actions())
+    if not keys:
+        raise ValidationError("instance has no suboptimal actions")
+    gaps = suboptimality_gaps(v)[tuple(np.transpose(keys))]
+    ratios = gamma / gaps**2
+    top = int(np.argmax(ratios))
+    H = float(ratios[top])
+    return keys, solved, gamma, gaps, H, keys[top], bool(np.all(H >= 4 * np.delete(ratios, top)))
 
 
 def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessReport:
     """Compute all per-target coefficients and the hardness maxima."""
     table = _consistent_table(v)
-    gaps = suboptimality_gaps(v)
-
-    gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, ratios = {}, {}, {}, {}, {}
-    for key, entry in _target_entries(v, table, v.best_actions()):
-        w = entry.weights
-        gamma[key] = entry.gamma
-        gamma_tilde[key] = float(np.sum(np.abs(w) / np.sqrt(table.masses)))
-        gamma_dp[key] = float(np.sum((w / table.masses) ** 2))
-        gamma_tilde_dp[key] = float(np.sum(np.abs(w) / table.masses))
-        ratios[key] = entry.gamma / gaps[key] ** 2
-
-    if not ratios:
-        raise ValidationError("instance has no suboptimal actions")
-    argmax = max(ratios, key=ratios.get)
-    H = ratios[argmax]
-    q_member = all(H >= 4 * r for key, r in ratios.items() if key != argmax)
-
-    H_dp = None
-    if privacy is not None:
-        H_dp = max(
-            math.sqrt(math.log(1.25 / privacy.delta) * gamma_dp[key])
-            / (math.sqrt(privacy.epsilon) * gaps[key])
-            for key in gamma_dp
-        )
+    keys, solved, gamma, gaps, H, argmax, q_member = _gamma_hardness(v, table)
+    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp.  A block of weight rows
+    # P = w / N gives sum(P^2), sum(|P| sqrt(N)) and sum(|P|) for its targets.
+    sums = np.column_stack([gamma, np.empty((len(keys), 3))])
+    step = max(1, PAIR_SUM_BLOCK_BYTES // (8 * table.masses.size))
+    scale = np.stack([np.sqrt(table.masses), np.ones_like(table.masses)], axis=1)
+    for lo in range(0, len(keys), step):
+        P = solved[lo : lo + step] @ table.diff_coords.T
+        sums[lo : lo + step, 2] = np.einsum("tp,tp->t", P, P)
+        sums[lo : lo + step, 1::2] = np.abs(P, out=P) @ scale
+    H_dp = None if privacy is None else float(np.max(
+        np.sqrt(math.log(1.25 / privacy.delta) * sums[:, 2]) / (math.sqrt(privacy.epsilon) * gaps)
+    ))
     return HardnessReport(
-        gamma=gamma,
-        gamma_tilde=gamma_tilde,
-        gamma_dp=gamma_dp,
-        gamma_tilde_dp=gamma_tilde_dp,
-        H=float(H),
-        H_dp=H_dp,
-        q_member=q_member,
-        argmax=argmax,
+        *(dict(zip(keys, column)) for column in sums.T.tolist()),
+        H=H, H_dp=H_dp, q_member=q_member, argmax=argmax,
     )
 
 
@@ -191,13 +192,15 @@ def alt_minimizer(v: Instance, z: np.ndarray, eta: float) -> AdversaryPair:
     which also minimises the discrepancy at value ``eta^2 / |z|^2_{V^-1}``.
     Components orthogonal to the observed span are free; this picks zero.
     """
-    table = _consistent_table(v)
+    return _alt_pair(v, _consistent_table(v), z, eta)
+
+
+def _alt_pair(v: Instance, table: WeightTable, z, eta: float) -> AdversaryPair:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (v.dim,):
         raise ValidationError(f"z must be a length-{v.dim} vector")
     coords = table.basis.coords(z)
-    residual = z - table.basis.lift(coords)
-    if np.linalg.norm(residual) > 1e-9 * (1 + np.linalg.norm(z)):
+    if outside_span(z, table.basis.vectors, coords):
         raise ValidationError("z lies outside the span of observed differences")
     if np.linalg.norm(coords) == 0:
         if eta != 0:
@@ -223,28 +226,26 @@ def lower_bound_adversary(v: Instance) -> AdversaryPair:
     alternative's hardness stays within [H, 8H].  Violations raise rather
     than pass silently.
     """
-    report = hardness(v)
-    k_bar, i_bar = report.argmax
+    table = _consistent_table(v)
+    *_, H, (k_bar, i_bar), q_member = _gamma_hardness(v, table)
     best = v.best_actions()
-    gaps = suboptimality_gaps(v)
     z = v.features[k_bar, i_bar] - v.features[k_bar, int(best[k_bar])]
-    pair = alt_minimizer(v, z, 2 * float(gaps[k_bar, i_bar]))
+    pair = _alt_pair(v, table, z, 2 * float(suboptimality_gaps(v)[k_bar, i_bar]))
 
     alt_best = pair.alt.best_actions()
-    problems = []
-    for k in range(v.num_states):
-        if k == k_bar:
-            continue
-        if alt_best[k] != best[k]:
-            problems.append(f"best action changed in untouched state {k}")
+    problems = [
+        f"best action changed in untouched state {k}"
+        for k in range(v.num_states)
+        if k != k_bar and alt_best[k] != best[k]
+    ]
     if alt_best[k_bar] != i_bar:
         problems.append(
             f"target action {i_bar} is not optimal in state {k_bar} "
             f"under the alternative"
         )
-    if report.q_member and not problems:
-        alt_report = hardness(pair.alt)
-        H, H_alt = report.H, alt_report.H
+    if q_member and not problems:
+        # The alternative shares the features and schedule, hence the table.
+        H_alt = _gamma_hardness(pair.alt, table)[4]
         if not (H * (1 - 1e-9) <= H_alt <= 8 * H * (1 + 1e-9)):
             problems.append(f"hardness bracket violated: {H} <= {H_alt} <= {8 * H}")
     if problems:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _consistent_table, _target_entries
+from .analysis import _consistent_table, _targets
 from .errors import NumericalError, ValidationError
 from .estimator import rl_low
 from .instances import Instance, PreferenceDataset, read_json
@@ -262,7 +262,8 @@ def mdp_hardness(v: Instance, kernel: TransitionKernel) -> tuple[float, dict[Pol
     table = _consistent_table(v)
     policies, values, best = _optimal_policy(v, kernel)
     pi_star, best_value = tuple(policies[best].tolist()), float(values[best])
-    gamma = {key: entry.gamma for key, entry in _target_entries(v, table, pi_star)}
+    keys, _, gammas = _targets(v, table, policies[best])
+    gamma = dict(zip(keys, gammas.tolist()))
 
     gamma_mdp: dict[Policy, float] = {}
     H = 0.0
