@@ -32,9 +32,9 @@ from .errors import InconsistencyError, NumericalError, ValidationError
 from .instances import (
     SPAN_RTOL,
     PreferenceDataset,
-    empirical_proportions,
     observed_differences,
     outside_span,
+    pair_index,
     span_rows,
     span_witness,
 )
@@ -165,6 +165,17 @@ def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
     return np.minimum(np.maximum(values, lo), hi)
 
 
+def _tally(data: PreferenceDataset, dims: tuple[int, int], L: float):
+    """Records per (k, i, j) as (S, A, A), and the success rates they give."""
+    S, A = dims
+    flat = pair_index(data, dims)
+    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
+    wins = np.bincount(flat, weights=data.records[:, 3], minlength=S * A * A).reshape(S, A, A)
+    pairs = np.argwhere(counts > 0)
+    at = (pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    return counts, SuccessRates.of(pairs, wins[at] / counts[at], L)
+
+
 def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> SuccessRates:
     """Per-pair win rates of the lower-indexed action, with clipping.
 
@@ -172,16 +183,10 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     design schedule of an instance is an error because the rates divide by
     realised counts.
     """
-    S, A = schedule.shape[:2]
-    rec = data.records
-    flat = (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
-    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
-    wins = np.bincount(flat, weights=rec[:, 3], minlength=S * A * A).reshape(S, A, A)
+    counts, rates = _tally(data, schedule.shape[:2], L)
     if not np.array_equal(schedule, counts / data.n):
         raise ValidationError("schedule does not match the dataset's proportions")
-    pairs = np.argwhere(counts > 0)
-    at = (pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    return SuccessRates.of(pairs, wins[at] / counts[at], L)
+    return rates
 
 
 def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -343,9 +348,9 @@ def dataset_inputs(
     Refuses datasets whose empirical schedule leaves some pairwise feature
     difference outside the observed span, reporting the offending triple.
     """
-    schedule = empirical_proportions(data, features.shape[:2])
-    table = consistent_weight_table(schedule, features)
-    return schedule, success_rates(data, schedule, L), table
+    counts, rates = _tally(data, features.shape[:2], L)
+    schedule = counts / data.n
+    return schedule, rates, consistent_weight_table(schedule, features)
 
 
 def report_from_rates(

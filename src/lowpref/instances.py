@@ -364,18 +364,21 @@ def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:
     return PreferenceDataset(records=records, n=n)
 
 
+def pair_index(data: PreferenceDataset, dims: tuple[int, int]) -> np.ndarray:
+    """Flat (S, A, A) index of each record's (k, i, j); refuses indices out of range."""
+    S, A = dims
+    rec = data.records
+    if rec[:, 0].min(initial=0) < 0 or rec[:, 0].max(initial=0) >= S:
+        raise ValidationError("record state index out of range")
+    if rec[:, 1].min(initial=0) < 0 or rec[:, 2].max(initial=0) >= A:
+        raise ValidationError("record action index out of range")
+    return (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
+
+
 def empirical_proportions(data: PreferenceDataset, dims: tuple[int, int]) -> np.ndarray:
     """Per-(k, i < j) share of records, measured against the nominal size."""
     S, A = dims
-    rec = data.records
-    if rec.shape[0]:
-        if rec[:, 0].min() < 0 or rec[:, 0].max() >= S:
-            raise ValidationError("record state index out of range")
-        if rec[:, 1].min() < 0 or rec[:, 2].max() >= A:
-            raise ValidationError("record action index out of range")
-    flat = (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
-    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
-    return counts / data.n
+    return np.bincount(pair_index(data, dims), minlength=S * A * A).reshape(S, A, A) / data.n
 
 
 # ---------------------------------------------------------------------------
