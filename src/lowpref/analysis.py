@@ -103,7 +103,7 @@ def _targets(v: Instance, table: WeightTable, ref: np.ndarray):
 
 
 def _gamma_hardness(v: Instance, table: WeightTable):
-    """Targets against the best actions, their gaps, and from gamma alone H, argmax, q_member."""
+    """H, argmax and q_member from gamma alone; the targets (keys, solves, gammas, gaps)."""
     keys, solved, gamma = _targets(v, table, v.best_actions())
     if not keys:
         raise ValidationError("instance has no suboptimal actions")
@@ -111,15 +111,15 @@ def _gamma_hardness(v: Instance, table: WeightTable):
     ratios = gamma / gaps**2
     top = int(np.argmax(ratios))
     H = float(ratios[top])
-    return keys, solved, gamma, gaps, H, keys[top], bool(np.all(H >= 4 * np.delete(ratios, top)))
+    q_member = bool(np.all(H >= 4 * np.delete(ratios, top)))
+    return H, keys[top], q_member, (keys, solved, gamma, gaps)
 
 
 def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessReport:
     """Compute all per-target coefficients and the hardness maxima."""
     table = _consistent_table(v)
-    keys, solved, gamma, gaps, H, argmax, q_member = _gamma_hardness(v, table)
-    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp.  A block of weight rows
-    # P = w / N gives sum(P^2), sum(|P| sqrt(N)) and sum(|P|) for its targets.
+    H, argmax, q_member, (keys, solved, gamma, gaps) = _gamma_hardness(v, table)
+    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, from blocks of rows P = w / N.
     sums = np.column_stack([gamma, np.empty((len(keys), 3))])
     step = max(1, PAIR_SUM_BLOCK_BYTES // (8 * table.masses.size))
     scale = np.stack([np.sqrt(table.masses), np.ones_like(table.masses)], axis=1)
@@ -227,7 +227,7 @@ def lower_bound_adversary(v: Instance) -> AdversaryPair:
     than pass silently.
     """
     table = _consistent_table(v)
-    *_, H, (k_bar, i_bar), q_member = _gamma_hardness(v, table)
+    H, (k_bar, i_bar), q_member, _ = _gamma_hardness(v, table)
     best = v.best_actions()
     z = v.features[k_bar, i_bar] - v.features[k_bar, int(best[k_bar])]
     pair = _alt_pair(v, table, z, 2 * float(suboptimality_gaps(v)[k_bar, i_bar]))
@@ -245,7 +245,7 @@ def lower_bound_adversary(v: Instance) -> AdversaryPair:
         )
     if q_member and not problems:
         # The alternative shares the features and schedule, hence the table.
-        H_alt = _gamma_hardness(pair.alt, table)[4]
+        H_alt = _gamma_hardness(pair.alt, table)[0]
         if not (H * (1 - 1e-9) <= H_alt <= 8 * H * (1 + 1e-9)):
             problems.append(f"hardness bracket violated: {H} <= {H_alt} <= {8 * H}")
     if problems:
