@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .rng import default_rngs, derive_seeds, substream
+from .rng import derive_seeds, substream, uniforms
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero when
 # computing the rank of the observed-difference matrix.
@@ -320,11 +320,9 @@ def sampling_plan(v: Instance, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     counts = np.ceil(masses * n - 1e-9).astype(np.int64)
     pairs, counts = pairs[counts > 0], counts[counts > 0]
     rewards = v.rewards()
+    gaps = rewards[pairs[:, 0], pairs[:, 2]] - rewards[pairs[:, 0], pairs[:, 1]]
     # math.exp per pair, not np.exp: the two may differ in the last bit.
-    p_first = np.array([
-        1.0 / (1.0 + math.exp(rewards[k, j] - rewards[k, i]))
-        for k, i, j in pairs.tolist()
-    ])
+    p_first = 1.0 / (1.0 + np.array([math.exp(gap) for gap in gaps.tolist()]))
     return pairs, counts, p_first
 
 
@@ -340,14 +338,8 @@ def sample_winners(
     seeded in one batch.
     """
     streams = derive_seeds(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    uniforms = np.empty(streams.shape[:-1] + (int(counts.sum()),))
-    ends = np.cumsum(np.broadcast_to(counts, streams.shape)).tolist()
-    flat = uniforms.reshape(-1)
-    start = 0
-    for rng, end in zip(default_rngs(streams), ends):
-        rng.random(out=flat[start:end])
-        start = end
-    return uniforms < np.repeat(p_first, counts)
+    draws = uniforms(streams.ravel(), np.broadcast_to(counts, streams.shape).ravel())
+    return draws.reshape(streams.shape[:-1] + (-1,)) < np.repeat(p_first, counts)
 
 
 def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import EstimateReport, SuccessRates, dataset_inputs, report_from_rates
 from .instances import PreferenceDataset
-from .rng import default_rngs, derive_seeds
+from .rng import derive_seeds, normals
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ def _draw_noise(seed, pairs: np.ndarray, stds: np.ndarray) -> np.ndarray:
     pipeline never substitutes it.
     """
     streams = derive_seeds(seed, "noise", pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    stds = np.broadcast_to(stds, streams.shape).ravel().tolist()
-    noise = [rng.normal(0.0, std) for rng, std in zip(default_rngs(streams), stds)]
-    return np.array(noise, dtype=np.float64).reshape(streams.shape)
+    stds = np.broadcast_to(stds, streams.shape).ravel()
+    return normals(streams.ravel(), stds).reshape(streams.shape)
 
 
 def gaussian_mechanism(

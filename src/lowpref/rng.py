@@ -7,46 +7,47 @@ state and adding a new consumer never perturbs existing draws.  String
 labels are hashed with SHA-256 rather than ``hash()`` so derivations are
 stable across processes.
 
-A stream is ``np.random.default_rng(derive_seed(*parts))``, and
-``derive_seed`` is numpy's own ``SeedSequence``.  Drawing one stream per
-observed pair that way costs tens of microseconds of seeding per pair, so
-the per-pair callers use the batched path instead:
-
-* ``derive_seeds`` is ``derive_seed`` with any part allowed to be an integer
-  array (the parts broadcast against each other).  It runs numpy's
-  ``SeedSequence`` mixing (pool size 4) on the whole batch at once, with the
-  ``uint32`` words of all elements packed into one Python integer.
-* ``default_rngs`` yields, per seed, a generator in exactly the state
-  ``np.random.default_rng(seed)`` starts in.  It reproduces the second
-  ``SeedSequence`` and PCG64's seeding arithmetic the same way and sets the
-  result through ``PCG64.state``; numpy's own ``Generator`` then draws.
-
-A batch costs a fixed ~0.1 ms in Python arithmetic and numpy calls, more
-than one ``substream``, so callers seed whole datasets or all repetitions at
-once rather than one pair at a time.
-
-The scalar ``derive_seed``/``substream`` stay the reference: the batched
-path gives bit-identical seeds and draws, which the tests check.
+``substream(*parts)`` is ``np.random.default_rng(derive_seed(*parts))``, the
+scalar reference.  Per-pair callers draw whole batches with numpy's
+arithmetic reproduced bit for bit on ``uint64`` arrays: ``derive_seeds`` is
+``SeedSequence`` over integer-array labels, and ``uniforms``/``normals`` give
+``default_rng(seed).random(count)`` or ``.normal(0.0, std)`` per seed from
+PCG64's 128-bit LCG as (hi, lo) halves and numpy's ziggurat tables, read on
+first use.  Below ``LANE_MIN_STREAMS`` streams, numpy draws each stream.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from itertools import accumulate
 
 import numpy as np
 
+# One stream costs ~0.6 ms through the arrays and ~0.05 ms through numpy
+# (2-CPU VM), so the paths meet between 8 and 16 streams; a position that
+# ``uniforms`` steps costs about two streams, so it also wants four per position.
+LANE_MIN_STREAMS = 12
+# Streams stepped at a time: a PCG64 step holds ~16 uint64 arrays this long.
+LANE_BLOCK_STREAMS = 1 << 13
+
 _U64 = (1 << 64) - 1
-_U128 = (1 << 128) - 1
-_M32 = 0xFFFFFFFF
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_ONE_LANE = (1).to_bytes(8, "little")
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+# PCG64's LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), its inverse, its
+# 64-bit halves and the 32-bit limbs of its low half.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_MUL_HI, _MUL_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _U64)
+_MUL_LO0, _MUL_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF)
+# Shifts and masks are uint64 scalars: numpy 1.x promotes uint64 with a
+# signed integer to float64.
+_M8, _M32, _M52 = (np.uint64((1 << bits) - 1) for bits in (8, 32, 52))
+_S1, _S8, _S9, _S11, _S16, _S32, _S58, _S63 = map(np.uint64, (1, 8, 9, 11, 16, 32, 58, 63))
 
 
 def _label_int(part) -> int:
@@ -69,70 +70,38 @@ def substream(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-class _Lanes:
-    """Equal-length ``uint32`` vectors packed into one Python integer, one
-    64-bit lane per element, so that numpy's ``SeedSequence`` arithmetic runs
-    on a whole batch in a few big-integer operations.
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    consts = accumulate(range(calls), lambda c, _: c * mult & 0xFFFFFFFF, initial=init)
+    return np.array(list(consts), dtype=np.uint64)[:, None]
 
-    A lane holds a value below 2**32.  A product with a 32-bit constant fits
-    in its lane, a masked shift drops what crosses in from the next lane,
-    and a subtraction borrows from an added 2**32, so no lane ever touches
-    its neighbour.  A batch of one is plain integer arithmetic, which keeps
-    the fixed cost of a batch near that of one ``SeedSequence``.
-    """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.ones = int.from_bytes(_ONE_LANE * size, "little")
-        self.mask = _M32 * self.ones
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix``, call r xoring ``consts[r]`` and multiplying by
+    ``consts[r + 1]``; a 32-bit word times a 32-bit constant fits in uint64."""
+    values = (values ^ consts[:-1]) * consts[1:] & _M32
+    return values ^ values >> _S16
 
-    def nonzero(self, values: int) -> int:
-        """1 in every lane of ``values`` that is nonzero, 0 elsewhere."""
-        return (values + self.mask) >> 32 & self.ones
 
-    def pack(self, values: np.ndarray) -> list[int]:
-        """The rows of a (P, size) ``uint64`` matrix as packed integers."""
-        packed = int.from_bytes(values.astype("<u8").tobytes(), "little")
-        width = 64 * self.size
-        full = (1 << width) - 1
-        return [packed >> (width * p) & full for p in range(values.shape[0])]
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The uint64 subtraction wraps modulo 2**64, a multiple of 2**32.
+    result = (x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32
+    return result ^ result >> _S16
 
-    def unpack(self, rows: list[int]) -> np.ndarray:
-        """Packed integers with 64-bit values as a (len(rows), size) ``uint64`` matrix."""
-        width = 64 * self.size
-        packed = sum(row << (width * p) for p, row in enumerate(rows))
-        data = packed.to_bytes(8 * self.size * len(rows), "little")
-        return np.frombuffer(bytearray(data), dtype="<u8").reshape(len(rows), self.size)
 
-    def seed_sequence(self, entropy: list[int], n_words: int) -> list[int]:
-        """``SeedSequence(e).generate_state(n_words, uint32)`` lane by lane,
-        for the packed entropy words ``entropy``: numpy's ``hashmix``,
-        ``mix``, ``mix_entropy`` and ``generate_state`` step for step."""
-        ones, mask, borrow = self.ones, self.mask, self.ones << 32
-        const = _INIT_A
-
-        def hashmix(value: int, mult: int = _MULT_A) -> int:
-            nonlocal const
-            value ^= const * ones
-            const = const * mult & _M32
-            value = value * const & mask
-            return value ^ (value >> 16 & mask)
-
-        def mix(x: int, y: int) -> int:
-            result = (x * _MIX_L & mask) + borrow - (y * _MIX_R & mask) & mask
-            return result ^ (result >> 16 & mask)
-
-        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        # generate_state hashes the pool words the same way, with constants B.
-        const = _INIT_B
-        return [hashmix(pool[i % _POOL], _MULT_B) for i in range(n_words)]
+def _seed_sequence(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, uint32)`` per column of the
+    (N,) arrays of 32-bit words ``entropy``.  A source row's three hashmix
+    calls in the pool's mix loop hash one value, so they are one step."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(len(entropy), _POOL))
+    pool = np.zeros((_POOL, len(entropy[0])), dtype=np.uint64)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, consts[: _POOL + 1])
+    for src in range(_POOL):
+        dst, call = [d for d in range(_POOL) if d != src], _POOL + (_POOL - 1) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call : call + _POOL]))
+    for call, word in enumerate(entropy[_POOL:], start=_POOL):
+        pool = _mix(pool, _hashmix(word, consts[_POOL * call : _POOL * call + _POOL + 1]))
+    return _hashmix(pool[np.arange(n_words) % _POOL], _hash_consts(_INIT_B, _MULT_B, n_words))
 
 
 def _seed_words(values: np.ndarray, n_words: int) -> np.ndarray:
@@ -144,24 +113,20 @@ def _seed_words(values: np.ndarray, n_words: int) -> np.ndarray:
     one two (low word first).  Columns whose word layouts differ are split
     apart on the first row where they differ.
     """
-    if values.shape[1] == 0:
-        return np.zeros((n_words // 2, 0), dtype=np.uint64)
-    lanes = _Lanes(values.shape[1])
     entropy = []
-    for p, row in enumerate(lanes.pack(values)):
-        high = row >> 32 & lanes.mask
-        wide = lanes.nonzero(high)
-        if wide not in (0, lanes.ones):
-            split = lanes.unpack([wide])[0] == 1
+    for row in values:
+        high = row >> _S32
+        wide = high != 0
+        if wide.any() and not wide.all():
             out = np.empty((n_words // 2, values.shape[1]), dtype=np.uint64)
-            out[:, split] = _seed_words(values[:, split], n_words)
-            out[:, ~split] = _seed_words(values[:, ~split], n_words)
+            out[:, wide] = _seed_words(values[:, wide], n_words)
+            out[:, ~wide] = _seed_words(values[:, ~wide], n_words)
             return out
-        entropy.append(row & lanes.mask)
-        if wide:
+        entropy.append(row & _M32)
+        if wide[0]:
             entropy.append(high)
-    words = lanes.seed_sequence(entropy, n_words)
-    return lanes.unpack([words[i] | words[i + 1] << 32 for i in range(0, n_words, 2)])
+    words = _seed_sequence(entropy, n_words)
+    return words[0::2] | words[1::2] << _S32
 
 
 def _part_array(part) -> np.ndarray:
@@ -183,37 +148,106 @@ def derive_seeds(*parts) -> np.ndarray:
     the broadcast shape whose every element equals ``derive_seed`` of the
     corresponding scalars.
     """
-    arrays = [_part_array(p) for p in parts]
-    shape = np.broadcast(*arrays).shape
-    values = np.empty((len(arrays),) + shape, dtype=np.uint64)
-    for p, array in enumerate(arrays):
-        values[p] = array
-    return _seed_words(values.reshape(len(arrays), -1), 2)[0].reshape(shape)
+    arrays = np.broadcast_arrays(*(_part_array(p) for p in parts))
+    values = np.stack(arrays).reshape(len(arrays), -1)
+    if values.shape[1] < LANE_MIN_STREAMS:
+        seeds = [derive_seed(*column) for column in values.T.tolist()]
+        return np.array(seeds, dtype=np.uint64).reshape(arrays[0].shape)
+    return _seed_words(values, 2)[0].reshape(arrays[0].shape)
 
 
-def default_rngs(seeds):
-    """Yield, per seed, a generator in the state ``np.random.default_rng(seed)``
-    starts in.
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step ``state·M + inc mod 2**128`` on (hi, lo) halves."""
+    lo0, lo1 = lo & _M32, lo >> _S32
+    p01, p10 = lo0 * _MUL_LO1, lo1 * _MUL_LO0
+    mid = (lo0 * _MUL_LO0 >> _S32) + (p01 & _M32) + (p10 & _M32)
+    hi = (lo1 * _MUL_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+          + hi * _MUL_LO + lo * _MUL_HI)
+    lo = lo * _MUL_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
 
-    numpy seeds the bit generator for the first seed.  For every further
-    seed the state is set from ``SeedSequence(seed)``'s four 64-bit words
-    w0..w3, computed for all of them at once: with ``s = w0·2**64 + w1`` and
-    ``inc = 2·(w2·2**64 + w3) + 1``, PCG64 starts in state
-    ``((inc + s)·M + inc) mod 2**128``.  The same ``Generator`` object is
-    reset for every seed, so use each one before taking the next; each call
-    owns its own bit generator.
+
+def _outputs(seeds: np.ndarray):
+    """PCG64's outputs of ``default_rng(seed)`` per seed, one (N,) array per
+    position: from ``SeedSequence(seed)``'s words w0..w3, inc = 2·(w2·2**64 + w3)
+    + 1 and the state is (inc + w0·2**64 + w1)·M + inc; an output is XSL-RR of a step."""
+    w0, w1, w2, w3 = _seed_words(seeds[None, :], 8)
+    inc = (w2 << _S1 | w3 >> _S63, w3 << _S1 | _S1)
+    lo = w1 + inc[1]
+    state = _pcg_step(w0 + inc[0] + (lo < inc[1]), lo, *inc)
+    while True:
+        state = _pcg_step(*state, *inc)
+        x, rot = state[0] ^ state[1], state[0] >> _S58
+        yield x >> rot | x << (-rot & _S63)
+
+
+def uniforms(seeds: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed).random(count)`` for each seed and count
+    of a ``uint64`` and an integer array of one length, concatenated."""
+    out, starts = np.empty(int(counts.sum())), np.cumsum(counts) - counts
+    if len(seeds) < max(LANE_MIN_STREAMS, 4 * int(counts.max(initial=0))):
+        for seed, count, start in zip(seeds.tolist(), counts.tolist(), starts.tolist()):
+            np.random.default_rng(seed).random(out=out[start : start + count])
+        return out
+    for lo in range(0, len(seeds), LANE_BLOCK_STREAMS):
+        block = slice(lo, lo + LANE_BLOCK_STREAMS)
+        for t, words in zip(range(int(counts[block].max())), _outputs(seeds[block])):
+            live = counts[block] > t
+            out[starts[block][live] + t] = (words[live] >> _S11) * 2.0**-53
+    return out
+
+
+def normals(seeds: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed).normal(0.0, std)`` for each seed and std
+    of a ``uint64`` and a float array of one length."""
+    out, slow = np.empty(len(seeds)), np.arange(len(seeds))
+    if len(seeds) >= LANE_MIN_STREAMS:
+        wi, ki = _ziggurat()
+        r = next(_outputs(seeds))
+        idx, rabs = (r & _M8).astype(np.intp), r >> _S9 & _M52
+        x = rabs * wi[idx]
+        np.negative(x, out=x, where=(r >> _S8 & _S1) == 1)
+        # numpy returns ``loc + scale·z``; adding 0.0 turns -0.0 into 0.0 as it does.
+        out = 0.0 + stds * x
+        slow = np.flatnonzero(rabs >= ki[idx])
+    out[slow] = [np.random.default_rng(seed).normal(0.0, std)
+                 for seed, std in zip(seeds[slow].tolist(), stds[slow].tolist())]
+    return out
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables (wi, ki), read from the installed numpy.
+
+    A draw whose first output is ``rabs << 9 | sign << 8 | idx`` is
+    ``±rabs·wi[idx]`` from that output alone iff ``rabs < ki[idx]``.  ``ki``
+    is ``floor(2**52·wi[idx-1]/wi[idx])`` where a probe one below confirms
+    it, else bisected (idx 0 and 1 always): never above numpy's, and a lower
+    ``ki`` only sends more streams to their own generator.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    if seeds.size == 0:
-        return
-    bits = np.random.PCG64(int(seeds[0]))
+    bits = np.random.PCG64(0)
     generator = np.random.Generator(bits)
-    yield generator
-    state = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for w0, w1, w2, w3 in _seed_words(seeds[None, 1:], 8).T.tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _U128
-        state["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _U128
-        state["inc"] = inc
-        bits.state = full
-        yield generator
+    def probe(rabs: int, idx: int) -> tuple[float, bool]:
+        # With inc = 1 a state below 2**64 outputs itself, unrotated.
+        word = rabs << 9 | idx
+        start = (word - 1) * _PCG_MULT_INV % (1 << 128)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": 1},
+                      "has_uint32": 0, "uinteger": 0}
+        return generator.standard_normal(), bits.state["state"]["state"] == word
+
+    wi = [probe(1, idx)[0] for idx in range(256)]
+    ki = []
+    for idx in range(256):
+        lo, hi = 0, 1 << 52
+        if idx > 1:
+            (n1, d1), (n2, d2) = wi[idx - 1].as_integer_ratio(), wi[idx].as_integer_ratio()
+            guess = min((n1 * d2 << 52) // (d1 * n2), hi)
+            if guess and probe(guess - 1, idx)[1]:
+                lo = hi = guess
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if probe(mid, idx)[1] else (lo, mid)
+        ki.append(lo)
+    wi, ki = np.array(wi), np.array(ki, dtype=np.uint64)
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki

@@ -1,4 +1,4 @@
-"""Random streams: the batched seeding path against numpy's own, draw for draw."""
+"""Random streams: the batched path against numpy's own, draw for draw."""
 
 from pathlib import Path
 
@@ -8,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowpref import load_instance, sample_dataset
-from lowpref.instances import sampling_plan
+from lowpref.instances import sample_winners, sampling_plan
 from lowpref.privacy import _draw_noise
-from lowpref.rng import default_rngs, derive_seed, derive_seeds, substream
+from lowpref.rng import (
+    LANE_MIN_STREAMS,
+    _ziggurat,
+    derive_seed,
+    derive_seeds,
+    normals,
+    substream,
+    uniforms,
+)
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "instances"
 
@@ -19,6 +27,8 @@ INSTANCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "instances"
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 u64 = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1))
 label = st.one_of(st.text(max_size=6), u64, st.integers(-(2**63), -1))
+# Enough streams for the array path.
+lane_seeds = st.lists(u64, min_size=LANE_MIN_STREAMS, max_size=LANE_MIN_STREAMS + 20)
 
 
 def _loop_sample(v, n, seed):
@@ -34,6 +44,14 @@ def _loop_sample(v, n, seed):
         block[:, 3] = wins
         blocks.append(block)
     return np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
+
+
+def _loop_winners(pairs, counts, p_first, seed):
+    """sample_winners for one seed, one substream per pair."""
+    return np.concatenate([
+        substream(seed, "sample", k, i, j).random(count) < p
+        for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist())
+    ])
 
 
 def _loop_noise(seed, pairs, stds):
@@ -77,36 +95,119 @@ class TestDeriveSeeds:
 
     def test_empty_batch(self):
         assert derive_seeds(3, "x", np.zeros(0, dtype=np.int64)).shape == (0,)
-        assert list(default_rngs(np.zeros(0, dtype=np.uint64))) == []
+        empty = np.zeros(0, dtype=np.uint64)
+        assert uniforms(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert normals(empty, np.zeros(0)).shape == (0,)
 
     def test_float_labels_refused(self):
         with pytest.raises(TypeError):
             derive_seeds(3, np.array([1.0]))
 
 
-class TestDefaultRngs:
+def _first_output(seed: int) -> tuple[int, int, bool]:
+    """(idx, rabs, fast) of the first output of default_rng(seed), as the
+    ziggurat reads it."""
+    word = int(np.random.default_rng(seed).bit_generator.random_raw())
+    idx, rabs = word & 0xFF, word >> 9 & ((1 << 52) - 1)
+    return idx, rabs, rabs < int(_ziggurat()[1][idx])
+
+
+class TestLaneDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(u64, min_size=1, max_size=20),
-           counts=st.lists(st.integers(0, 9), min_size=20, max_size=20))
+    @given(seeds=st.lists(u64, min_size=4 * 9, max_size=60),
+           counts=st.lists(st.integers(0, 9), min_size=60, max_size=60))
     def test_random_matches_default_rng(self, seeds, counts):
-        for seed, rng, count in zip(seeds, default_rngs(np.array(seeds, dtype=np.uint64)),
-                                    counts):
-            expected = np.random.default_rng(seed).random(count)
-            assert rng.random(count).tobytes() == expected.tobytes()
+        """At least four streams per position, so the array path draws."""
+        counts = counts[: len(seeds)]
+        expected = [np.random.default_rng(s).random(c) for s, c in zip(seeds, counts)]
+        got = uniforms(np.array(seeds, dtype=np.uint64), np.array(counts))
+        assert got.tobytes() == np.concatenate(expected).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(u64, min_size=1, max_size=20),
-           std=st.floats(0.0, 10.0, allow_nan=False))
+    @given(seeds=lane_seeds, std=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
     def test_normal_matches_default_rng(self, seeds, std):
-        batched = [rng.normal(0.0, std) for rng in default_rngs(np.array(seeds, dtype=np.uint64))]
-        assert batched == [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
+        got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
+        expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
+        assert got.tobytes() == np.array(expected).tobytes()
 
-    def test_each_generator_continues_its_own_stream(self):
-        seeds = derive_seeds(11, "sample", np.arange(5))
-        for seed, rng in zip(seeds.tolist(), default_rngs(seeds)):
-            reference = np.random.default_rng(seed)
-            assert rng.random(3).tolist() == reference.random(3).tolist()
-            assert rng.normal(0.0, 2.0, 4).tolist() == reference.normal(0.0, 2.0, 4).tolist()
+    def test_normal_off_the_fast_path(self):
+        """Planted seeds whose first output lands on idx 0, on idx 1 (never
+        on the fast path) and off the fast path elsewhere, among others."""
+        wanted = {
+            "idx 0": lambda idx, rabs, fast: idx == 0 and fast,
+            "idx 0 tail": lambda idx, rabs, fast: idx == 0 and not fast,
+            "idx 1": lambda idx, rabs, fast: idx == 1,
+            "rabs >= ki": lambda idx, rabs, fast: idx > 1 and not fast,
+        }
+        planted = {}
+        seed = 0
+        while len(planted) < len(wanted):
+            first = _first_output(seed)
+            for name, test in wanted.items():
+                if name not in planted and test(*first):
+                    planted[name] = seed
+            seed += 1
+        seeds = list(planted.values()) + list(range(10**6, 10**6 + LANE_MIN_STREAMS))
+        for std in (0.0, 1.0, 0.37):
+            got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
+            expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
+            assert got.tobytes() == np.array(expected).tobytes()
+
+
+def _consumes_one_output(rabs: int, idx: int) -> bool:
+    """Whether standard_normal takes the ziggurat fast path when its first
+    output carries (rabs, sign 0, idx): with inc = 1, PCG64 steps to the
+    state ``word`` and outputs it unrotated."""
+    word = rabs << 9 | idx
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (word - 1) * pow(mult, -1, 2**128) % 2**128, "inc": 1}}
+    np.random.Generator(bits).standard_normal()
+    return bits.state["state"]["state"] == word
+
+
+class TestZiggurat:
+    def test_every_ki_at_or_below_numpy(self):
+        """A probe at ki - 1 takes the fast path: it consumes one output."""
+        for idx, k in enumerate(_ziggurat()[1].tolist()):
+            if k:
+                assert _consumes_one_output(k - 1, idx), idx
+
+    def test_known_entries(self):
+        wi, ki = _ziggurat()
+        assert int(ki[0]) == 0x000EF33D8025EF6A
+        # numpy's own value: idx 1 never takes the fast path.
+        assert int(ki[1]) == 0
+        assert wi.shape == ki.shape == (256,)
+        assert not wi.flags.writeable and not ki.flags.writeable
+
+
+class TestCrossover:
+    @pytest.mark.parametrize("streams", [1, LANE_MIN_STREAMS - 1, LANE_MIN_STREAMS,
+                                         LANE_MIN_STREAMS + 1])
+    def test_callers_around_the_crossover(self, streams):
+        pairs = np.column_stack([np.arange(streams) % 3, np.arange(streams),
+                                 np.arange(streams) + 1])
+        counts = 1 + np.arange(streams) % 3
+        p_first = np.linspace(0.1, 0.9, streams)
+        stds = np.linspace(0.0, 2.0, streams)
+        for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+            assert sample_winners(pairs, counts, p_first, seed).tobytes() == \
+                _loop_winners(pairs, counts, p_first, seed).tobytes()
+            assert _draw_noise(seed, pairs, stds).tobytes() == \
+                _loop_noise(seed, pairs, stds).tobytes()
+
+    def test_seed_column_mixing_word_layouts(self, paper_instance):
+        """Rows whose seeds take one and two entropy words split the batch."""
+        pairs, counts, p_first = sampling_plan(paper_instance, 150)
+        stds = np.linspace(0.01, 2.0, len(pairs))
+        seeds = np.array([3, 2**32 + 5, 0, 2**40, 2**32 - 1], dtype=np.uint64)
+        wins = sample_winners(pairs, counts, p_first, seeds[:, None])
+        noise = _draw_noise(seeds[:, None], pairs, stds)
+        for seed, win_row, noise_row in zip(seeds.tolist(), wins, noise):
+            assert win_row.tobytes() == _loop_winners(pairs, counts, p_first, seed).tobytes()
+            assert noise_row.tobytes() == _loop_noise(seed, pairs, stds).tobytes()
 
 
 class TestBatchedCallers:
