@@ -23,7 +23,6 @@ from .bench import (
 from .errors import InconsistencyError, NumericalError, ValidationError
 from .estimator import (
     EstimateReport,
-    SpanBasis,
     SuccessRates,
     WeightEntry,
     WeightTable,

@@ -32,7 +32,6 @@ from .instances import (
     make_instance,
     observed_differences,
     outside_span,
-    suboptimality_gaps,
 )
 from .privacy import PrivacyParams
 
@@ -90,8 +89,8 @@ def _targets(v: Instance, table: WeightTable, ref: np.ndarray):
     ``WeightTable.entry``'s products, LAPACK solve and span refusal: gammas keep their bits."""
     ks, iz = np.nonzero(np.arange(v.num_actions) != ref[:, None])
     tdiff = v.features[ks, iz] - v.features[ks, ref[ks]]
-    coords = tdiff[:, None, :] @ table.basis.vectors.T
-    bad = np.flatnonzero(outside_span(tdiff, table.basis.vectors, coords[:, 0]))
+    coords = tdiff[:, None, :] @ table.basis.T
+    bad = np.flatnonzero(outside_span(tdiff, table.basis, coords[:, 0]))
     if bad.size:
         target = (int(ks[bad[0]]), int(iz[bad[0]]), int(ref[ks[bad[0]]]))
         raise InconsistencyError(
@@ -107,7 +106,7 @@ def _gamma_hardness(v: Instance, table: WeightTable):
     keys, solved, gamma = _targets(v, table, v.best_actions())
     if not keys:
         raise ValidationError("instance has no suboptimal actions")
-    gaps = suboptimality_gaps(v)[tuple(np.transpose(keys))]
+    gaps = v.gaps[tuple(np.transpose(keys))]
     ratios = gamma / gaps**2
     top = int(np.argmax(ratios))
     H = float(ratios[top])
@@ -199,8 +198,8 @@ def _alt_pair(v: Instance, table: WeightTable, z, eta: float) -> AdversaryPair:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (v.dim,):
         raise ValidationError(f"z must be a length-{v.dim} vector")
-    coords = table.basis.coords(z)
-    if outside_span(z, table.basis.vectors, coords):
+    coords = z @ table.basis.T
+    if outside_span(z, table.basis, coords):
         raise ValidationError("z lies outside the span of observed differences")
     if np.linalg.norm(coords) == 0:
         if eta != 0:
@@ -208,7 +207,7 @@ def _alt_pair(v: Instance, table: WeightTable, z, eta: float) -> AdversaryPair:
         return AdversaryPair(base=v, alt=v, dtilde_value=0.0, eta=0.0, z=z)
     solved = table.solve(coords)
     denom = float(coords @ solved)
-    theta_alt = v.theta + (eta / denom) * table.basis.lift(solved)
+    theta_alt = v.theta + (eta / denom) * (solved @ table.basis)
     alt_rewards = v.features @ theta_alt
     bound = max(v.reward_bound, float(np.max(np.abs(alt_rewards))))
     alt = make_instance(v.features, theta_alt, v.rho, v.schedule, bound)
@@ -230,7 +229,7 @@ def lower_bound_adversary(v: Instance) -> AdversaryPair:
     H, (k_bar, i_bar), q_member, _ = _gamma_hardness(v, table)
     best = v.best_actions()
     z = v.features[k_bar, i_bar] - v.features[k_bar, int(best[k_bar])]
-    pair = _alt_pair(v, table, z, 2 * float(suboptimality_gaps(v)[k_bar, i_bar]))
+    pair = _alt_pair(v, table, z, 2 * float(v.gaps[k_bar, i_bar]))
 
     alt_best = pair.alt.best_actions()
     problems = [

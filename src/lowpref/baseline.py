@@ -62,12 +62,7 @@ def _active_normals(constraints: np.ndarray, L: float, theta: np.ndarray) -> np.
     """Outward normals of the reward-bound faces theta currently sits on."""
     values = constraints @ theta
     band = 1e-9 * max(L, 1.0)
-    rows = []
-    for idx in np.flatnonzero(values >= L - band):
-        rows.append(constraints[idx])
-    for idx in np.flatnonzero(values <= -L + band):
-        rows.append(-constraints[idx])
-    return np.asarray(rows).reshape(-1, constraints.shape[1])
+    return np.concatenate([constraints[values >= L - band], -constraints[values <= -L + band]])
 
 
 def _face_newton_step(

@@ -7,7 +7,12 @@ identical data and paired comparisons are meaningful, while tie-breaking
 and noise streams are additionally keyed by the algorithm name.
 
 Identical configurations reproduce identical tables, except for the
-recorded wall-clock column, which is measurement, not output.
+recorded wall-clock column, which is measurement, not output.  A
+``rl_low`` or ``dp_rl_low`` cell's ``wall_ms`` is its equal share of its
+(algorithm, n) batch: the seeds, win counts, noise, estimates, selections
+and regrets of all repetitions.  An ``mle`` or ``rl_low_mdp`` cell's is its
+own work (fit, or policy search and regret) plus that share.  The per-n
+sampling plan and weight table are built before the clock starts.
 """
 
 from __future__ import annotations
@@ -117,10 +122,12 @@ class ResultTable:
         return cls(rows=rows)
 
 
-def simple_regret(v: Instance, selections) -> float:
-    """State-law-weighted reward shortfall of the selected actions."""
+def simple_regret(v: Instance, selections):
+    """State-law-weighted reward shortfall of the selected actions: a float
+    for (S,) selections, an array over the leading axes for a stack (..., S)."""
     idx = np.asarray(selections, dtype=np.int64)
-    return float(np.sum(v.rho * v.gaps[np.arange(v.num_states), idx]))
+    regret = np.sum(v.rho * v.gaps[np.arange(v.num_states), idx], axis=-1)
+    return float(regret) if regret.ndim == 0 else regret
 
 
 def _check_keys(mapping: dict, known: tuple[str, ...], where: str, required=()) -> None:
@@ -197,70 +204,53 @@ def _resolve_instance(cfg: ExperimentConfig) -> Instance:
     return make_paper_instance(cfg.generator)
 
 
-class _Prepared:
-    """Per-(instance, n) inputs of the Monte Carlo loop.
-
-    The empirical schedule of a sampled dataset depends only on the
-    instance and n, because per-pair record counts are deterministic
-    ceilings; only the winners vary between repetitions.  The plan, the
-    schedule and the weight table are therefore computed once per n.
-    """
-
-    def __init__(self, v: Instance, n: int):
-        self.pairs, self.counts, self.p_first = sampling_plan(v, n)
-        self.schedule = np.zeros_like(v.schedule)
-        pairs = self.pairs
-        self.schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = self.counts / n
-        self.table = consistent_weight_table(self.schedule, v.features)
-        self.starts = np.cumsum(self.counts) - self.counts
-
-    def rates(self, data_seeds: np.ndarray, L: float) -> SuccessRates:
-        """Success rates, one row per data seed, of the datasets
-        ``sample_dataset`` draws for those seeds, from one batch of streams."""
-        wins = sample_winners(self.pairs, self.counts, self.p_first, data_seeds[:, None])
-        counts = np.add.reduceat(wins, self.starts, axis=1, dtype=np.int64)
-        return SuccessRates.of(self.table.pairs, counts / self.counts, L)
-
-
-def _run_cells(v, kernel, cfg, prep, algo, n) -> list[ResultRow]:
+def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     """The repetitions of one (algorithm, n).
 
-    Seeds, win counts and noise of all repetitions are drawn in one batch
-    first; each cell's ``wall_ms`` is its own work plus an equal share of
-    that batch.
+    The rates algorithms share one sampling plan, empirical schedule and
+    weight table: per-pair record counts are deterministic ceilings, so only
+    the winners vary between repetitions, and every step up to the regret
+    runs once on the stack of all repetitions.
     """
+    if algo != "mle":
+        pairs, counts, p_first = sampling_plan(v, n)
+        schedule = np.zeros_like(v.schedule)
+        schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = counts / n
+        table = consistent_weight_table(schedule, v.features)
     start = time.perf_counter()
     reps = np.arange(cfg.repetitions)
     data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)
-    tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie").tolist()
+    tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie")
     if algo != "mle":
-        rates = prep.rates(data_seeds, v.reward_bound)
+        wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
+        won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
+        rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
-            rates = gaussian_mechanism(rates, prep.schedule, n, cfg.privacy,
-                                       noise_seeds[:, None])
-    data_seeds = data_seeds.tolist()
+            rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])
+        rhat = estimate_relative_rewards(rates, table, v.features)
+        if algo != "rl_low_mdp":  # rl_low_mdp searches policies instead
+            regrets = simple_regret(v, select_best_actions(rhat, tie_seeds)[0]).tolist()
+    data_seeds, tie_seeds = data_seeds.tolist(), tie_seeds.tolist()
     share_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
-    rows = []
-    for rep in range(cfg.repetitions):
-        start = time.perf_counter()
-        if algo == "mle":
-            data = sample_dataset(v, n, data_seeds[rep])
-            fit = mle_fit(data, v.features, v.reward_bound)
-            regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
-        else:
-            cell = SuccessRates(rates.pairs, rates.raw[rep], rates.clipped[rep],
-                                rates.clip_bound)
-            rhat = estimate_relative_rewards(cell, prep.table, v.features)
-            if algo == "rl_low_mdp":  # rl_low_mdp discards the static selection
-                policy = mdp_policy_search(rhat, kernel, v.rho, tie_seed=tie_seeds[rep])
-                regret = mdp_regret(v, kernel, policy)
+    walls = [share_ms] * cfg.repetitions
+    if algo in ("mle", "rl_low_mdp"):
+        regrets = []
+        for rep in range(cfg.repetitions):
+            start = time.perf_counter()
+            if algo == "mle":
+                data = sample_dataset(v, n, data_seeds[rep])
+                fit = mle_fit(data, v.features, v.reward_bound)
+                regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
             else:
-                regret = simple_regret(v, select_best_actions(rhat, tie_seeds[rep])[0])
-        wall_ms = (time.perf_counter() - start) * 1000.0 + share_ms
-        rows.append(ResultRow(algo=algo, n=n, rep=rep, seed=data_seeds[rep],
-                              regret=regret, wall_ms=wall_ms))
-    return rows
+                policy = mdp_policy_search(rhat[rep], kernel, v.rho, tie_seed=tie_seeds[rep])
+                regret = mdp_regret(v, kernel, policy)
+            regrets.append(regret)
+            walls[rep] += (time.perf_counter() - start) * 1000.0
+    return [
+        ResultRow(algo=algo, n=n, rep=rep, seed=seed, regret=regret, wall_ms=wall)
+        for rep, (seed, regret, wall) in enumerate(zip(data_seeds, regrets, walls))
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -269,12 +259,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     kernel = None
     if cfg.kernel_path is not None:
         kernel = load_kernel(cfg.kernel_path, (v.num_states, v.num_actions))
-    prepared = {n: _Prepared(v, n) for n in cfg.n_grid}
     rows = [
         row
         for algo in cfg.algorithms
         for n in cfg.n_grid
-        for row in _run_cells(v, kernel, cfg, prepared[n], algo, n)
+        for row in _run_cells(v, kernel, cfg, algo, n)
     ]
     return ResultTable(rows=rows)
 

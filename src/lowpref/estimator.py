@@ -15,7 +15,9 @@ Given a dataset of pairwise comparisons, the pipeline is
 
 ``rl_low``, ``dp_rl_low`` and the cells of ``bench.run_experiment`` all run
 the same path: per-pair ``SuccessRates`` -> (Gaussian mechanism) ->
-``estimate_relative_rewards`` -> ``select_best_actions``.
+``estimate_relative_rewards`` -> ``select_best_actions``.  Both steps take
+stacks with leading repetition axes, and the sweep runs them once per
+(algorithm, n) on all repetitions; each row keeps the bits of its own call.
 
 Estimates targeted at different pairs are additive (``rhat[i,j] + rhat[j,l]
 = rhat[i,l]``), so ranking against action 0 recovers the full order.
@@ -55,7 +57,7 @@ class SuccessRates:
     ``WeightTable.pairs``.  ``clipped`` is ``raw`` clamped to the band that
     the reward bound ``clip_bound`` permits; after the Gaussian mechanism
     ``raw`` may leave [0, 1].  ``run_experiment`` stacks the rates of all
-    repetitions as (R, m) rows on the same pairs and estimates row by row.
+    repetitions as (R, m) rows on the same pairs and estimates them at once.
     """
 
     pairs: np.ndarray  # (m, 3)
@@ -67,25 +69,6 @@ class SuccessRates:
     def of(cls, pairs: np.ndarray, raw: np.ndarray, L: float) -> "SuccessRates":
         """Rates ``raw`` on ``pairs``, clipped for reward bound ``L``."""
         return cls(pairs=pairs, raw=raw, clipped=_clip_array(raw, L), clip_bound=L)
-
-
-@dataclass(frozen=True)
-class SpanBasis:
-    """Orthonormal basis (rows) of the span of observed feature differences."""
-
-    vectors: np.ndarray  # (r, d)
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    def coords(self, w: np.ndarray) -> np.ndarray:
-        """Coordinates of ``w`` (last axis = feature dim) in the basis."""
-        return np.asarray(w) @ self.vectors.T
-
-    def lift(self, c: np.ndarray) -> np.ndarray:
-        """Map coordinates back to the ambient feature space."""
-        return np.asarray(c) @ self.vectors
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,7 @@ class WeightTable:
     pairs: np.ndarray  # (m, 3) observed (k, i < j)
     masses: np.ndarray  # (m,) schedule values
     diff_coords: np.ndarray  # (m, r) observed differences in basis coords
-    basis: SpanBasis
+    basis: np.ndarray  # (r, d) orthonormal rows spanning the observed differences
     V: np.ndarray  # (r, r)
     target_coords: np.ndarray  # (S, A, r) coords of features[k, i] - features[k, 0]
 
@@ -116,8 +99,8 @@ class WeightTable:
         if i == j:
             raise ValidationError("weight target requires two distinct actions")
         tdiff = features[k, i] - features[k, j]
-        coords = self.basis.coords(tdiff)
-        if outside_span(tdiff, self.basis.vectors, coords):
+        coords = tdiff @ self.basis.T
+        if outside_span(tdiff, self.basis, coords):
             raise InconsistencyError(
                 f"target difference {target} lies outside the observed span",
                 witness=(int(k), int(i), int(j)),
@@ -204,15 +187,14 @@ def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 def _weight_table(schedule: np.ndarray, features: np.ndarray, consistent: bool) -> WeightTable:
     pairs, diffs, masses = observed_differences(features, schedule)
-    vectors = span_rows(diffs).copy()
-    vectors.flags.writeable = False
-    basis = SpanBasis(vectors=vectors)
+    basis = span_rows(diffs).copy()
+    basis.flags.writeable = False
     # One projection of the S·(A−1) differences against action 0 gives the
     # estimation targets and, for a consistent table, the witness test.
     telescoped = features - features[:, :1]
-    target_coords = basis.coords(telescoped)
+    target_coords = telescoped @ basis.T
     if consistent:
-        witness = span_witness(telescoped, vectors, target_coords)
+        witness = span_witness(telescoped, basis, target_coords)
         if witness is not None:
             raise InconsistencyError(
                 f"dataset schedule is inconsistent; witness pair {witness}",
@@ -220,9 +202,9 @@ def _weight_table(schedule: np.ndarray, features: np.ndarray, consistent: bool) 
             )
     if pairs.shape[0] == 0:
         raise ValidationError("schedule observes no pairs; span is empty")
-    if vectors.shape[0] == 0:
+    if basis.shape[0] == 0:
         raise ValidationError("observed differences are all zero")
-    coords = basis.coords(diffs)
+    coords = diffs @ basis.T
     return WeightTable(
         pairs=pairs,
         masses=masses,
@@ -302,41 +284,47 @@ def estimate_relative_rewards(
 ) -> np.ndarray:
     """Relative-reward estimates of every action against action 0.
 
-    The fast path folds the weight computation into one global vector
-    ``g = V^{-1} sum(N * coords * log-odds)`` and evaluates each target as a
-    dot product; the slow path materialises per-target weights and serves
-    as the reference.  Both agree to float precision.
+    ``rates`` holds one row of m rates, giving (S, A) estimates, or a stack
+    (..., m) of rows on the same pairs, giving (..., S, A).  The fast path
+    folds the weight computation into one global vector ``g = V^{-1} sum(N *
+    coords * log-odds)`` per row and evaluates each target as a dot product;
+    its products and solve make, row by row, the matrix-vector BLAS and
+    LAPACK calls of a single row, so a row of a stack has the bits of its own
+    call.  The slow path materialises per-target weights and serves as the
+    reference.  Both agree to float precision.
     """
     log_odds = _pair_log_odds(rates, table)
     if fast_path:
-        g = table.solve(table.diff_coords.T @ (table.masses * log_odds))
-        return table.target_coords @ g
+        b = np.matmul(table.diff_coords.T, (table.masses * log_odds)[..., None])
+        g = np.linalg.solve(np.broadcast_to(table.V, b.shape[:-2] + table.V.shape), b)
+        return (table.target_coords @ g[..., None, :, :])[..., 0]
     S, A, _ = features.shape
-    rhat = np.zeros((S, A))
+    rhat = np.zeros(log_odds.shape[:-1] + (S, A))
     for k in range(S):
         for i in range(1, A):
-            rhat[k, i] = float(table.entry((k, i, 0), features).weights @ log_odds)
+            rhat[..., k, i] = log_odds @ table.entry((k, i, 0), features).weights
     return rhat
 
 
 def select_best_actions(
-    rhat: np.ndarray, tie_seed: int = 0, label: str = "tie"
-) -> tuple[np.ndarray, list[list[int]]]:
+    rhat: np.ndarray, tie_seed=0, label: str = "tie"
+) -> tuple[np.ndarray, list[list[int]] | None]:
     """Per-state argmax of the estimates, ties resolved uniformly by seed.
 
-    A tie in state k draws from the (tie_seed, label, k) stream.
+    ``rhat`` is (S, A) or a stack (..., S, A); ``tie_seed`` is one seed or
+    an array of them over the leading axes.  A tie in state k draws from the
+    (tie seed, label, k) stream of its row.  Returns the (..., S) selections
+    and, for an (S, A) input, the tied actions of each state; for a stack
+    the second value is None.
     """
-    S, _ = rhat.shape
-    selections = np.empty(S, dtype=np.int64)
-    tie_sets: list[list[int]] = []
-    for k in range(S):
-        row = rhat[k]
-        ties = np.flatnonzero(row == row.max())
-        tie_sets.append([int(a) for a in ties])
-        if ties.size == 1:
-            selections[k] = ties[0]
-        else:
-            selections[k] = ties[substream(tie_seed, label, k).integers(ties.size)]
+    is_max = rhat == rhat.max(axis=-1, keepdims=True)
+    selections = np.argmax(is_max, axis=-1)
+    seeds = np.broadcast_to(tie_seed, rhat.shape[:-2])
+    for *row, k in np.argwhere(is_max.sum(axis=-1) > 1).tolist():
+        ties = np.flatnonzero(is_max[(*row, k)])
+        stream = substream(seeds[tuple(row)], label, k)
+        selections[(*row, k)] = ties[stream.integers(ties.size)]
+    tie_sets = [np.flatnonzero(m).tolist() for m in is_max] if rhat.ndim == 2 else None
     return selections, tie_sets
 
 

@@ -352,7 +352,11 @@ def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:
     """
     pairs, counts, p_first = sampling_plan(v, n)
     wins = sample_winners(pairs, counts, p_first, seed)
-    records = np.column_stack([np.repeat(pairs, counts, axis=0), wins])
+    # Whole (m, 4) rows repeat faster than columns repeated and then stacked.
+    template = np.zeros((len(pairs), 4), dtype=np.int64)
+    template[:, :3] = pairs
+    records = np.repeat(template, counts, axis=0)
+    records[:, 3] = wins
     return PreferenceDataset(records=records, n=n)
 
 

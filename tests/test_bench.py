@@ -16,6 +16,7 @@ from lowpref import (
     ValidationError,
     dp_rl_low,
     emit_outputs,
+    make_instance,
     mle_fit,
     mle_select,
     rl_low,
@@ -27,6 +28,7 @@ from lowpref import (
     summarize,
     validate_kernel,
 )
+import lowpref.bench as bench
 from lowpref.bench import config_from_dict
 from lowpref.rng import derive_seed, substream
 
@@ -60,6 +62,24 @@ class TestSimpleRegret:
     def test_weighted_by_state_law(self, paper_instance):
         # Action 2 in both states: gaps are 0.1, weighted by (0.4, 0.6).
         assert simple_regret(paper_instance, [2, 2]) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("S", [1, 2, 9, 130])
+    def test_stacked_selections_match_rows(self, S):
+        # Plain, 8-way unrolled and blocked pairwise sums over the states:
+        # each row of a stack keeps the bits of its own (S,) call.
+        rng = np.random.default_rng(S)
+        A, d = 4, 3
+        features = rng.normal(size=(S, A, d))
+        v = make_instance(features, rng.normal(size=d), rng.dirichlet(np.ones(S)),
+                          np.zeros((S, A, A)), 10.0)
+        selections = rng.integers(A, size=(3, 50, S))
+        stacked = simple_regret(v, selections)
+        assert stacked.shape == (3, 50)
+        for index in np.ndindex(3, 50):
+            row = simple_regret(v, selections[index])
+            assert isinstance(row, float)
+            want = float(np.sum(v.rho * v.gaps[np.arange(S), selections[index]]))
+            assert row.hex() == want.hex() == float(stacked[index]).hex()
 
 
 class TestConfig:
@@ -182,6 +202,34 @@ class TestRunExperiment:
                     assert regret == row.regret, (row.algo, row.n, row.rep)
                     continue
                 assert simple_regret(v, selections) == row.regret, (row.algo, row.n, row.rep)
+
+    def test_one_batch_per_algorithm_and_n(self, tmp_path, monkeypatch):
+        """The rates algorithms estimate, select and score all repetitions of
+        an (algorithm, n) in one call each; rl_low_mdp skips the static
+        selection, and mle builds no weight table."""
+        P = np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 4))
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps({"P": P.tolist()}))
+        calls = {}
+        for name in ("consistent_weight_table", "estimate_relative_rewards",
+                     "select_best_actions", "simple_regret"):
+            def counted(*args, _real=getattr(bench, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(bench, name, counted)
+        for algo, want in (
+            ("rl_low", (2, 2, 2, 2)),
+            ("dp_rl_low", (2, 2, 2, 2)),
+            ("rl_low_mdp", (2, 2, 0, 0)),
+            ("mle", (0, 0, 0, 8)),
+        ):
+            calls.clear()
+            run_experiment(small_config(algorithms=(algo,), kernel_path=str(kernel_path),
+                                        privacy=PrivacyParams(0.9, 0.2)))
+            got = tuple(calls.get(name, 0) for name in (
+                "consistent_weight_table", "estimate_relative_rewards",
+                "select_best_actions", "simple_regret"))
+            assert got == want, algo
 
     def test_exact_binomial_oracle_at_small_scale(self, t1_path):
         # 2000 repetitions at n=4; the exact value is 0.1780837.

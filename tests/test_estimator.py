@@ -2,6 +2,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +17,20 @@ from lowpref import (
     clip_rate,
     empirical_proportions,
     estimate_relative_rewards,
+    load_instance,
     local_weights_qp_oracle,
     rl_low,
     sample_dataset,
     select_best_actions,
     success_rates,
 )
-from lowpref.estimator import SpanBasis, SuccessRates, WeightTable, dataset_inputs
+from lowpref.estimator import SuccessRates, WeightTable, dataset_inputs
+from lowpref.rng import derive_seeds, substream
 from conftest import random_consistent_instance
+
+COMMITTED = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
+)
 
 
 def make_rates(table, clipped, L=1.0):
@@ -130,22 +137,22 @@ class TestSuccessRates:
 class TestSpanBasis:
     def test_t1_single_direction(self, t1):
         basis = build_weight_table(t1.schedule, t1.features).basis
-        assert basis.size == 1
-        assert abs(abs(basis.vectors[0, 0]) - 1.0) < 1e-12
+        assert basis.shape[0] == 1
+        assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
 
     def test_two_directions(self, tri):
         basis = build_weight_table(tri.schedule, tri.features).basis
-        assert basis.size == 2
+        assert basis.shape[0] == 2
 
     def test_orthonormal_and_reconstructs(self, paper_instance):
         v = paper_instance
         basis = build_weight_table(v.schedule, v.features).basis
-        assert basis.size <= 5
-        gram = basis.vectors @ basis.vectors.T
-        assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
+        assert basis.shape[0] <= 5
+        gram = basis @ basis.T
+        assert np.max(np.abs(gram - np.eye(basis.shape[0]))) < 1e-12
         for k, i, j in v.observed_pairs()[:10]:
             diff = v.features[k, i] - v.features[k, j]
-            recon = basis.lift(basis.coords(diff))
+            recon = (diff @ basis.T) @ basis
             assert np.linalg.norm(recon - diff) < 1e-10
 
     def test_empty_schedule_rejected(self, t1):
@@ -172,10 +179,10 @@ class TestDesignMatrix:
 
     def test_degenerate_basis_rejected(self, t1):
         # A two-vector "basis" for a one-dimensional span makes V singular.
-        fake = SpanBasis(vectors=np.array([[1.0], [1.0]]) / math.sqrt(2))
+        fake = np.array([[1.0], [1.0]]) / math.sqrt(2)
         table = build_weight_table(t1.schedule, t1.features)
         with pytest.raises(NumericalError):
-            build_design_matrix(fake.coords(observed_diffs(t1, table)), table.masses)
+            build_design_matrix(observed_diffs(t1, table) @ fake.T, table.masses)
 
 
 class TestLocalWeights:
@@ -326,20 +333,114 @@ class TestEstimates:
         rhat1 = estimate_relative_rewards(rates, table, v.features)
 
         rng = np.random.default_rng(0)
-        r = table.basis.size
+        r = table.basis.shape[0]
         q, _ = np.linalg.qr(rng.normal(size=(r, r)))
-        rotated = SpanBasis(vectors=q @ table.basis.vectors)
-        coords = rotated.coords(observed_diffs(v, table))
+        rotated = q @ table.basis
+        coords = observed_diffs(v, table) @ rotated.T
         table2 = WeightTable(
             pairs=table.pairs,
             masses=table.masses,
             diff_coords=coords,
             basis=rotated,
             V=build_design_matrix(coords, table.masses),
-            target_coords=rotated.coords(v.features - v.features[:, :1]),
+            target_coords=(v.features - v.features[:, :1]) @ rotated.T,
         )
         rhat2 = estimate_relative_rewards(rates, table2, v.features)
         assert np.max(np.abs(rhat1 - rhat2)) < 1e-9
+
+
+def _estimate_oracle(clipped, table):
+    """One row's fast-path estimate by the per-row arithmetic: a gemv, a
+    vector solve and one matrix-vector product per state."""
+    log_odds = np.log(clipped) - np.log1p(-clipped)
+    g = np.linalg.solve(table.V, table.diff_coords.T @ (table.masses * log_odds))
+    return table.target_coords @ g
+
+
+def _select_oracle(rhat, tie_seed, label="tie"):
+    """One (S, A) row's selection by the per-state loop."""
+    selections, tie_sets = [], []
+    for k, row in enumerate(rhat):
+        ties = np.flatnonzero(row == row.max())
+        tie_sets.append([int(a) for a in ties])
+        pick = 0 if ties.size == 1 else substream(tie_seed, label, k).integers(ties.size)
+        selections.append(int(ties[pick]))
+    return selections, tie_sets
+
+
+def _stacked_rates(table, rng, shape, L):
+    raw = rng.uniform(0.02, 0.98, size=shape + (len(table.pairs),))
+    return SuccessRates.of(table.pairs, raw, L)
+
+
+class TestStackedOracle:
+    """Stacks (..., m) of rates and (..., S, A) of estimates against the
+    per-row arithmetic, bit for bit."""
+
+    @staticmethod
+    def _assert_rows_match(rates, table, features):
+        stacked = estimate_relative_rewards(rates, table, features)
+        assert stacked.shape == rates.clipped.shape[:-1] + features.shape[:2]
+        for index in np.ndindex(rates.clipped.shape[:-1]):
+            want = _estimate_oracle(rates.clipped[index], table)
+            assert stacked[index].tobytes() == want.tobytes()
+            row = SuccessRates.of(table.pairs, rates.raw[index], rates.clip_bound)
+            assert estimate_relative_rewards(row, table, features).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_committed_instances(self, path):
+        v = load_instance(path)
+        rng = np.random.default_rng(12)
+        for n in ((50, 400) if v.num_actions < 50 else (20_000,)):
+            data = sample_dataset(v, n, seed=n)
+            _, _, table = dataset_inputs(data, v.features, v.reward_bound)
+            rates = _stacked_rates(table, rng, (6,), v.reward_bound)
+            self._assert_rows_match(rates, table, v.features)
+
+    def test_random_instances_and_leading_axes(self):
+        rng = np.random.default_rng(77)
+        for index in range(40):
+            v = random_consistent_instance(rng, s_max=4, a_max=6)
+            table = build_weight_table(v.schedule, v.features)
+            shape = ((5,), (2, 3), (1,))[index % 3]
+            self._assert_rows_match(_stacked_rates(table, rng, shape, v.reward_bound),
+                                    table, v.features)
+
+    def test_slow_path_takes_the_same_stacks(self, paper_instance):
+        v = paper_instance
+        table = build_weight_table(v.schedule, v.features)
+        rates = _stacked_rates(table, np.random.default_rng(3), (4, 2), v.reward_bound)
+        fast = estimate_relative_rewards(rates, table, v.features)
+        slow = estimate_relative_rewards(rates, table, v.features, fast_path=False)
+        assert slow.shape == fast.shape == (4, 2, 2, 10)
+        assert np.max(np.abs(fast - slow)) < 1e-10
+        row = SuccessRates.of(table.pairs, rates.raw[1, 0], v.reward_bound)
+        single = estimate_relative_rewards(row, table, v.features, fast_path=False)
+        assert np.max(np.abs(single - slow[1, 0])) < 1e-12
+
+    def test_selection_with_planted_ties(self):
+        rng = np.random.default_rng(5)
+        R, S, A = 300, 6, 5
+        rhat = rng.normal(size=(R, S, A))
+        for r, k in zip(rng.integers(R, size=400), rng.integers(S, size=400)):
+            tied = rng.choice(A, size=int(rng.integers(2, A + 1)), replace=False)
+            rhat[r, k, tied] = rhat[r, k].max()
+        rhat[7] = 0.0  # every state of one row ties over all actions
+        seeds = derive_seeds(9, "tie", np.arange(R))  # uint64, many above 2**63
+        selections, tie_sets = select_best_actions(rhat, seeds)
+        assert tie_sets is None and selections.shape == (R, S)
+        drawn = 0
+        for r, seed in enumerate(seeds.tolist()):
+            want, ties = _select_oracle(rhat[r], seed)
+            assert selections[r].tolist() == want
+            got_row, got_ties = select_best_actions(rhat[r], seed)
+            assert got_row.tolist() == want and got_ties == ties
+            drawn += sum(len(t) > 1 for t in ties)
+        assert drawn > 300
+        # One seed for the whole stack, and another stream label.
+        selections, _ = select_best_actions(rhat[:20], 4, "mle-tie")
+        for r in range(20):
+            assert selections[r].tolist() == _select_oracle(rhat[r], 4, "mle-tie")[0]
 
 
 class TestTransitivity:

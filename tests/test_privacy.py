@@ -182,7 +182,7 @@ class TestPrivatePipeline:
         table_a = build_weight_table(schedule_a, v.features)
         table_b = build_weight_table(schedule_b, v.features)
         assert np.array_equal(table_a.V, table_b.V)
-        assert np.array_equal(table_a.basis.vectors, table_b.basis.vectors)
+        assert np.array_equal(table_a.basis, table_b.basis)
         entry_a = table_a.entry((0, 4, 0), v.features)
         entry_b = table_b.entry((0, 4, 0), v.features)
         assert np.array_equal(entry_a.weights, entry_b.weights)
