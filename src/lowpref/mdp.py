@@ -9,9 +9,9 @@ probabilities nor per-class stationary laws, so the plain limit of the
 lazy chain equals the time-average of the original one, and it converges
 geometrically where direct averaging needs O(1/tol) steps.
 
-Policy search maximises the occupancy-weighted estimated reward, either by
-exhaustive enumeration (the reference) or by gain/bias policy iteration
-for the average-reward criterion.
+Policy search maximises the occupancy-weighted estimated reward by
+``enumerate`` (the default: every policy, from one stacked occupancy build)
+or ``iterate`` (gain/bias policy iteration, its check; ignores ``tie_seed``).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .rng import substream
 
 POWER_ITERATION_CAP = 100_000
 ENUMERATION_CAP = 1_000_000
+OCCUPANCY_BLOCK = 4096  # policies per stacked power iteration, 8·S² bytes of lazy kernel each
 
 Policy = tuple[int, ...]
 
@@ -70,30 +71,39 @@ def load_kernel(path, dims: tuple[int, int]) -> TransitionKernel:
     return validate_kernel(payload["P"], dims)
 
 
-def _policy_matrix(kernel: TransitionKernel, policy: Policy) -> np.ndarray:
-    S = kernel.P.shape[0]
-    return kernel.P[np.arange(S), np.asarray(policy, dtype=np.int64)]
+def _policy_rows(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
+    """A policy (S,) or policy rows (Π, S) as int64, refused unless they and rho fit the kernel."""
+    rows, (S, A) = np.asarray(policy), kernel.P.shape[:2]
+    if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu" \
+            or np.any((rows < 0) | (rows >= A)) or np.shape(rho) != (S,):
+        raise ValidationError(f"policy {policy} or rho {np.shape(rho)} does not fit (S, A) {S, A}")
+    return rows.astype(np.int64, copy=False)
 
 
-def stationary_distribution(
-    kernel: TransitionKernel, policy: Policy, rho: np.ndarray
-) -> np.ndarray:
-    """Time-average state occupancy of the policy chain started from rho."""
-    P_pi = _policy_matrix(kernel, policy)
-    lazy = 0.5 * (np.eye(P_pi.shape[0]) + P_pi)
-    mu = np.asarray(rho, dtype=np.float64).copy()
-    for _ in range(POWER_ITERATION_CAP):
-        nxt = mu @ lazy
-        if 0.5 * float(np.abs(nxt - mu).sum()) <= 1e-10:
-            mu = nxt
-            break
-        mu = nxt
-    else:
-        raise NumericalError("occupancy power iteration did not converge")
+def stationary_distribution(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
+    """Time-average state occupancy of the policy chain started from rho: (S,) for one
+    policy, (Π, S) for policy rows, each row with the bits of its own call."""
+    rows = np.atleast_2d(_policy_rows(kernel, policy, rho))
+    mu, S = np.empty(rows.shape), len(rho)
+    for lo in range(0, len(rows), OCCUPANCY_BLOCK):
+        live = np.arange(lo, min(lo + OCCUPANCY_BLOCK, len(rows)))
+        lazy = 0.5 * (np.eye(S) + kernel.P[np.arange(S), rows[live]])
+        cur = np.tile(np.asarray(rho, dtype=np.float64), (live.size, 1))
+        for _ in range(POWER_ITERATION_CAP):
+            nxt = np.matmul(cur[:, None, :], lazy)[:, 0]
+            done = 0.5 * np.abs(nxt - cur).sum(axis=1) <= 1e-10
+            if done.any():  # shrinking copies the lazy kernels, so only when a row is done
+                mu[live[done]] = nxt[done]
+                live, lazy, nxt = live[~done], lazy[~done], nxt[~done]
+            if not live.size:
+                break
+            cur = nxt
+        else:
+            raise NumericalError("occupancy power iteration did not converge")
     mu[(mu < 0) & (mu > -1e-12)] = 0.0
     if np.any(mu < 0):
         raise NumericalError("occupancy iteration produced a negative mass")
-    return mu
+    return mu if np.ndim(policy) == 2 else mu[0]
 
 
 def _cesaro_projector(P_pi: np.ndarray) -> np.ndarray:
@@ -115,8 +125,8 @@ def _evaluate_policy(
     kernel: TransitionKernel, rewards: np.ndarray, policy: Policy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gain and bias of a policy under the average-reward criterion."""
-    P_pi = _policy_matrix(kernel, policy)
-    r_pi = rewards[np.arange(len(policy)), np.asarray(policy, dtype=np.int64)]
+    at = np.arange(len(policy)), np.asarray(policy, dtype=np.int64)
+    P_pi, r_pi = kernel.P[at], rewards[at]
     proj = _cesaro_projector(P_pi)
     gain = proj @ r_pi
     eye = np.eye(P_pi.shape[0])
@@ -137,27 +147,18 @@ def policy_objective(
 def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray):
     """Every policy as a row, in lexicographic order, and a float64 array of their
     ``policy_objective``s.  Occupancy, free of the rewards, is built once per (kernel, rho)."""
+    if np.shape(rewards) != kernel.P.shape[:2]:
+        raise ValidationError(f"rewards shape {np.shape(rewards)} != (S, A) {kernel.P.shape[:2]}")
     cache, rho = kernel._occupancy, np.array(rho, dtype=np.float64)
     if not np.array_equal(cache.get("rho"), rho):
         S, A = kernel.P.shape[:2]
         if A**S > ENUMERATION_CAP:
             raise ValidationError(f"policy space A^S = {A}^{S} exceeds the enumeration cap")
         policies = np.indices((A,) * S).reshape(S, -1).T
-        mu = np.array([stationary_distribution(kernel, p, rho) for p in policies])
-        cache.update(rho=rho, policies=policies, mu=mu)
+        cache.update(rho=rho, policies=policies, mu=stationary_distribution(kernel, policies, rho))
     r_pi = rewards[np.arange(rewards.shape[0]), cache["policies"]]
-    return cache["policies"], np.array([float(m @ r) for m, r in zip(cache["mu"], r_pi)])
-
-
-def _search_enumerate(
-    kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray, tie_atol: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Best policy by exhaustion: the policy rows and values of
-    ``_policy_values``, the index of the first exact maximum (the
-    lexicographically smallest) and the indices within tie_atol of it."""
-    policies, values = _policy_values(kernel, rewards, rho)
-    best = int(np.argmax(values))
-    return policies, values, best, np.flatnonzero(values >= values[best] - tie_atol)
+    # One ddot per row, as ``policy_objective``'s ``float(occupancy @ r_pi)``.
+    return cache["policies"], np.matmul(cache["mu"][:, None, :], r_pi[:, :, None])[:, 0, 0]
 
 
 def _search_iterate(
@@ -197,27 +198,28 @@ def mdp_policy_search(
     rhat: np.ndarray,
     kernel: TransitionKernel,
     rho: np.ndarray,
-    mode: str = "auto",
+    mode: str = "enumerate",
     tie_seed: int | None = None,
 ) -> Policy:
     """Policy maximising the occupancy-weighted estimated reward.
 
-    ``enumerate`` is exhaustive and serves as the reference oracle;
-    ``iterate`` runs average-reward policy iteration and must agree with it.
-    Enumeration ties break lexicographically unless a tie_seed is given, in
-    which case the winner is drawn uniformly among the tied policies.
+    ``enumerate`` (the default) is exhaustive and serves as the reference
+    oracle; ties break lexicographically unless a tie_seed is given, in which
+    case the winner is drawn uniformly among the tied policies.  ``iterate``
+    runs average-reward policy iteration, must agree with it, ignores tie_seed.
     """
-    S, A = rhat.shape
-    if mode == "auto":
-        mode = "enumerate" if A**S <= 10_000 else "iterate"
-    if mode == "enumerate":
-        policies, _, best, tied = _search_enumerate(kernel, rhat, rho)
-        if tie_seed is not None and len(tied) > 1:
-            best = tied[substream(tie_seed, "policy-tie").integers(len(tied))]
-        return tuple(policies[best].tolist())
+    if np.shape(rhat) != kernel.P.shape[:2]:
+        raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {kernel.P.shape[:2]}")
     if mode == "iterate":
         return _search_iterate(kernel, rhat)
-    raise ValidationError(f"unknown policy search mode: {mode}")
+    if mode != "enumerate":
+        raise ValidationError(f"unknown policy search mode: {mode}")
+    policies, values = _policy_values(kernel, rhat, rho)
+    best = int(np.argmax(values))
+    tied = np.flatnonzero(values >= values[best])
+    if tie_seed is not None and len(tied) > 1:
+        best = tied[substream(tie_seed, "policy-tie").integers(len(tied))]
+    return tuple(policies[best].tolist())
 
 
 def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, int]:
@@ -226,10 +228,12 @@ def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, 
     # Occupancies carry ~1e-10 iteration residue, so uniqueness is judged
     # at a matching tolerance rather than exact equality.
     atol = 1e-9 * max(1.0, float(np.max(np.abs(rewards))))
-    policies, values, best, tied = _search_enumerate(kernel, rewards, v.rho, tie_atol=atol)
-    if len(tied) > 1:
+    policies, values = _policy_values(kernel, rewards, v.rho)
+    best = int(np.argmax(values))
+    tied = np.count_nonzero(values >= values[best] - atol)
+    if tied > 1:
         raise ValidationError(
-            f"optimal policy is not unique: {len(tied)} policies attain {float(values[best])}"
+            f"optimal policy is not unique: {tied} policies attain {float(values[best])}"
         )
     return policies, values, best
 
@@ -237,7 +241,8 @@ def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, 
 def mdp_regret(v: Instance, kernel: TransitionKernel, policy: Policy) -> float:
     """Occupancy-weighted reward shortfall of a policy against the optimum."""
     _, values, best = _optimal_policy(v, kernel)
-    index = np.ravel_multi_index(tuple(policy), (v.num_actions,) * v.num_states)
+    policy = _policy_rows(kernel, policy, v.rho)
+    index = np.ravel_multi_index(policy, (v.num_actions,) * v.num_states)
     return max(float(values[best] - values[index]), 0.0)
 
 
@@ -261,18 +266,12 @@ def mdp_hardness(v: Instance, kernel: TransitionKernel) -> tuple[float, dict[Pol
     optimum's uniqueness check."""
     table = _consistent_table(v)
     policies, values, best = _optimal_policy(v, kernel)
-    pi_star, best_value = tuple(policies[best].tolist()), float(values[best])
-    keys, _, gammas = _targets(v, table, policies[best])
-    gamma = dict(zip(keys, gammas.tolist()))
-
-    gamma_mdp: dict[Policy, float] = {}
-    H = 0.0
-    for policy, value in zip(map(tuple, policies.tolist()), values.tolist()):
-        if policy == pi_star:
-            continue
-        gap = best_value - value
-        gamma_mdp[policy] = max(
-            gamma[(k, a)] for k, a in enumerate(policy) if a != pi_star[k]
-        )
-        H = max(H, gamma_mdp[policy] / gap**2)
-    return H, gamma_mdp
+    # Each policy's worst disagreeing gamma: one max over an (S, A) table, −inf at π*.
+    pi_star, gamma = policies[best], np.full(kernel.P.shape[:2], -np.inf)
+    gamma[np.arange(v.num_actions) != pi_star[:, None]] = _targets(v, table, pi_star)[2]
+    others = np.delete(policies, best, axis=0)
+    worst = gamma[np.arange(v.num_states), others].max(axis=1)
+    gaps = (values[best] - np.delete(values, best)).tolist()
+    # Python floats: their ``gap**2`` is libm's pow, which can round apart from gap * gap.
+    H = max((g / gap**2 for g, gap in zip(worst.tolist(), gaps)), default=0.0)
+    return H, dict(zip(map(tuple, others.tolist()), worst.tolist()))

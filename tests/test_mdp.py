@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from lowpref import (
+    GeneratorConfig,
     NumericalError,
     ValidationError,
     build_weight_table,
     hardness,
     make_instance,
+    make_paper_instance,
     mdp_hardness,
     mdp_policy_search,
     mdp_regret,
@@ -22,7 +24,15 @@ from lowpref import (
     validate_instance,
     validate_kernel,
 )
-from lowpref.mdp import _cesaro_projector, _optimal_policy, policy_objective
+from lowpref.mdp import (
+    ENUMERATION_CAP,
+    OCCUPANCY_BLOCK,
+    POWER_ITERATION_CAP,
+    _cesaro_projector,
+    _optimal_policy,
+    _policy_values,
+    policy_objective,
+)
 from lowpref.rng import derive_seed, substream
 from conftest import random_consistent_instance
 
@@ -115,6 +125,97 @@ class TestStationaryDistribution:
             assert abs(d.sum() - 1.0) < 1e-10
 
 
+def _per_policy_occupancy(kernel, policy, rho):
+    """``stationary_distribution`` as first written: one power iteration per
+    policy, the oracle the stacked build must match bit for bit."""
+    S = kernel.P.shape[0]
+    P_pi = kernel.P[np.arange(S), np.asarray(policy, dtype=np.int64)]
+    lazy = 0.5 * (np.eye(S) + P_pi)
+    mu = np.asarray(rho, dtype=np.float64).copy()
+    for _ in range(POWER_ITERATION_CAP):
+        nxt = mu @ lazy
+        if 0.5 * float(np.abs(nxt - mu).sum()) <= 1e-10:
+            mu = nxt
+            break
+        mu = nxt
+    else:
+        raise NumericalError("occupancy power iteration did not converge")
+    mu[(mu < 0) & (mu > -1e-12)] = 0.0
+    if np.any(mu < 0):
+        raise NumericalError("occupancy iteration produced a negative mass")
+    return mu
+
+
+def _kernel_of_kind(rng, kind, S, A):
+    """Periodic (every action a rotation), absorbing (into state 0), sticky
+    (slow mixing) or Dirichlet-row kernel."""
+    stay = np.broadcast_to(np.eye(S)[:, None, :], (S, A, S))
+    if kind == "periodic":
+        P = np.zeros((S, A, S))
+        P[np.arange(S)[:, None], np.arange(A)[None, :],
+          (np.arange(S)[:, None] + 1 + np.arange(A)[None, :]) % S] = 1.0
+    elif kind == "absorbing":
+        q = rng.uniform(0.1, 0.5, size=(S, A, 1))
+        P = (1 - q) * stay + q * np.eye(S)[0]
+    elif kind == "sticky":
+        P = 0.8 * stay + 0.2 * rng.dirichlet(np.ones(S), size=(S, A))
+    else:
+        P = rng.dirichlet(np.ones(S), size=(S, A))
+    return validate_kernel(P, (S, A))
+
+
+class TestStackedOccupancy:
+    def test_matches_per_policy_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        for S in range(1, 9):
+            A = 3 if S <= 4 else 2
+            policies = np.indices((A,) * S).reshape(S, -1).T
+            for kind in ("periodic", "absorbing", "sticky", "dirichlet"):
+                kernel = _kernel_of_kind(rng, kind, S, A)
+                rho = rng.dirichlet(np.ones(S))
+                expected = np.array([_per_policy_occupancy(kernel, p, rho) for p in policies])
+                stacked = stationary_distribution(kernel, policies, rho)
+                assert stacked.tobytes() == expected.tobytes(), (S, kind)
+                for row in rng.choice(len(policies), size=3):
+                    one = stationary_distribution(kernel, tuple(policies[row].tolist()), rho)
+                    assert one.shape == (S,)
+                    assert one.tobytes() == expected[row].tobytes(), (S, kind, row)
+
+    def test_block_boundary(self):
+        rng = np.random.default_rng(59)
+        A = 65  # 65^2 = 4,225 policies: one full block and a partial one
+        assert A**2 > OCCUPANCY_BLOCK
+        kernel = _kernel_of_kind(rng, "dirichlet", 2, A)
+        rho = rng.dirichlet(np.ones(2))
+        policies = np.indices((A, A)).reshape(2, -1).T
+        expected = np.array([_per_policy_occupancy(kernel, p, rho) for p in policies])
+        assert stationary_distribution(kernel, policies, rho).tobytes() == expected.tobytes()
+
+    def test_non_convergence_raises_as_the_oracle_does(self):
+        # Action 0 in state 0 leaks 1e-9 of mass per step, far too slowly for
+        # the stop test within the cap; action 1 converges at once.
+        P = np.array([[[1 - 1e-9, 1e-9], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
+        kernel = validate_kernel(P, (2, 2))
+        rho = np.array([1.0, 0.0])
+        with pytest.raises(NumericalError) as oracle:
+            _per_policy_occupancy(kernel, (0, 0), rho)
+        with pytest.raises(NumericalError) as stacked:
+            stationary_distribution(kernel, np.array([[1, 0], [0, 0], [1, 1]]), rho)
+        assert str(stacked.value) == str(oracle.value)
+
+    def test_values_are_per_policy_dot_products(self):
+        rng = np.random.default_rng(61)
+        for kind in ("periodic", "absorbing", "sticky", "dirichlet"):
+            S, A = 3, 4
+            kernel = _kernel_of_kind(rng, kind, S, A)
+            rho, rewards = rng.dirichlet(np.ones(S)), rng.normal(size=(S, A))
+            policies, values = _policy_values(kernel, rewards, rho)
+            mu = stationary_distribution(kernel, policies, rho)
+            r_pi = rewards[np.arange(S), policies]
+            assert [v.hex() for v in values.tolist()] == \
+                [float(m @ r).hex() for m, r in zip(mu, r_pi)]
+
+
 class TestPolicySearch:
     def test_single_state_reduces_to_argmax(self):
         rhat = np.array([[0.3, 0.9, -0.2]])
@@ -160,6 +261,25 @@ class TestPolicySearch:
         kernel = self_loop_kernel(25, 4)
         with pytest.raises(ValidationError, match="cap"):
             mdp_policy_search(rhat, kernel, np.full(25, 1 / 25), "enumerate")
+
+    def test_default_mode_enumerates_past_ten_thousand_policies(self):
+        # 7^5 = 16,807 policies.  Self-loops keep the occupancy at rho, and two
+        # equal best actions per state tie 2^5 policies exactly.
+        S, A = 5, 7
+        kernel = self_loop_kernel(S, A)
+        rho = np.full(S, 1 / S)
+        rhat = np.zeros((S, A))
+        rhat[:, 3:5] = 1.0
+        tied = list(itertools.product((3, 4), repeat=S))
+        drawn = [mdp_policy_search(rhat, kernel, rho, tie_seed=seed) for seed in range(6)]
+        assert drawn == [tied[substream(seed, "policy-tie").integers(len(tied))]
+                         for seed in range(6)]
+        assert len(set(drawn)) > 1
+        # Past the cap the default search is refused, not run by iteration.
+        S = 25
+        with pytest.raises(ValidationError, match="cap"):
+            mdp_policy_search(np.zeros((S, 4)), self_loop_kernel(S, 4), np.full(S, 1 / S))
+        assert 4**S > ENUMERATION_CAP
 
     def test_enumerate_matches_policy_iteration(self):
         rng = np.random.default_rng(29)
@@ -279,6 +399,44 @@ def _objective_oracle(kernel, rewards, rho):
     S, A = rewards.shape
     return {p: policy_objective(kernel, rewards, p, rho)
             for p in itertools.product(range(A), repeat=S)}
+
+
+class TestMismatchedInputs:
+    """A kernel validated for (S, A) = (2, 3) meets inputs of other shapes."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        P = np.random.default_rng(67).dirichlet(np.ones(2), size=(2, 3))
+        return validate_kernel(P, (2, 3))
+
+    def test_instance_with_more_actions_is_refused(self, kernel):
+        v = make_paper_instance(GeneratorConfig(num_states=2, num_actions=4, dim=2, seed=3))
+        with pytest.raises(ValidationError, match=r"rewards shape \(2, 4\)"):
+            mdp_hardness(v, kernel)
+        with pytest.raises(ValidationError, match=r"rewards shape \(2, 4\)"):
+            mdp_regret(v, kernel, (0, 0))
+        for mode in ("enumerate", "iterate"):
+            with pytest.raises(ValidationError, match=r"rewards shape \(2, 4\)"):
+                mdp_policy_search(v.rewards(), kernel, v.rho, mode)
+
+    def test_policy_outside_the_action_range_is_refused(self, kernel):
+        rho = np.array([0.5, 0.5])
+        for policy in ((0, 3), (0, -1), (0, 1, 2), (0.0, 1.0), np.array([[0, 1], [2, 3]])):
+            with pytest.raises(ValidationError, match="policy"):
+                stationary_distribution(kernel, policy, rho)
+        with pytest.raises(ValidationError, match="policy"):
+            policy_objective(kernel, np.zeros((2, 3)), (0, 3), rho)
+        v = make_paper_instance(GeneratorConfig(num_states=2, num_actions=3, dim=2, seed=3))
+        assert mdp_regret(v, kernel, (0, 2)) >= 0.0
+        with pytest.raises(ValidationError, match=r"policy \(0, 3\)"):
+            mdp_regret(v, kernel, (0, 3))
+
+    def test_rho_of_the_wrong_length_is_refused(self, kernel):
+        rho = np.full(3, 1 / 3)
+        with pytest.raises(ValidationError, match=r"rho \(3,\)"):
+            stationary_distribution(kernel, (0, 0), rho)
+        with pytest.raises(ValidationError, match=r"rho \(3,\)"):
+            mdp_policy_search(np.zeros((2, 3)), kernel, rho)
 
 
 class TestMdpRegret:
