@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, NumericalError, ValidationError
-from .estimator import WeightTable, consistent_weight_table
+from .estimator import WeightTable, build_weight_table
 from .instances import (
     Instance,
     make_instance,
@@ -76,37 +76,21 @@ def _consistent_table(v: Instance) -> WeightTable:
     """The instance's weight table, from one SVD of its observed differences;
     refuses an inconsistent instance, naming the first witness pair."""
     try:
-        return consistent_weight_table(v.schedule, v.features)
+        return build_weight_table(v.schedule, v.features)
     except InconsistencyError as exc:
         raise InconsistencyError(
             f"instance is inconsistent; witness pair {exc.witness}", witness=exc.witness
         ) from None
 
 
-def _targets(v: Instance, table: WeightTable, ref: np.ndarray):
-    """Keys (k, i), ``V^{-1}`` solves and gammas of the targets f[k, i] − f[k, ref[k]] for
-    i != ref[k] (ref: the best actions or a policy), in (k, i) order.  One stacked pass of
-    ``WeightTable.entry``'s products, LAPACK solve and span refusal: gammas keep their bits."""
-    ks, iz = np.nonzero(np.arange(v.num_actions) != ref[:, None])
-    tdiff = v.features[ks, iz] - v.features[ks, ref[ks]]
-    coords = tdiff[:, None, :] @ table.basis.T
-    bad = np.flatnonzero(outside_span(tdiff, table.basis, coords[:, 0]))
-    if bad.size:
-        target = (int(ks[bad[0]]), int(iz[bad[0]]), int(ref[ks[bad[0]]]))
-        raise InconsistencyError(
-            f"target difference {target} lies outside the observed span", witness=target
-        )
-    solved = np.linalg.solve(np.broadcast_to(table.V, (ks.size, *table.V.shape)),
-                             coords.transpose(0, 2, 1))
-    return list(zip(ks.tolist(), iz.tolist())), solved[:, :, 0], (coords @ solved)[:, 0, 0]
-
-
 def _gamma_hardness(v: Instance, table: WeightTable):
     """H, argmax and q_member from gamma alone; the targets (keys, solves, gammas, gaps)."""
-    keys, solved, gamma = _targets(v, table, v.best_actions())
-    if not keys:
+    best = v.best_actions()
+    ks, iz = np.nonzero(np.arange(v.num_actions) != best[:, None])
+    if not ks.size:
         raise ValidationError("instance has no suboptimal actions")
-    gaps = v.gaps[tuple(np.transpose(keys))]
+    solved, gamma = table.targets(v.features, ks, iz, best[ks])
+    keys, gaps = list(zip(ks.tolist(), iz.tolist())), v.gaps[ks, iz]
     ratios = gamma / gaps**2
     top = int(np.argmax(ratios))
     H = float(ratios[top])
@@ -205,7 +189,7 @@ def _alt_pair(v: Instance, table: WeightTable, z, eta: float) -> AdversaryPair:
         if eta != 0:
             raise ValidationError("constraint is infeasible for z = 0")
         return AdversaryPair(base=v, alt=v, dtilde_value=0.0, eta=0.0, z=z)
-    solved = table.solve(coords)
+    solved = np.linalg.solve(table.V, coords)
     denom = float(coords @ solved)
     theta_alt = v.theta + (eta / denom) * (solved @ table.basis)
     alt_rewards = v.features @ theta_alt

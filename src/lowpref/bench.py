@@ -29,7 +29,7 @@ from .baseline import mle_fit, mle_select
 from .errors import ValidationError
 from .estimator import (
     SuccessRates,
-    consistent_weight_table,
+    build_weight_table,
     estimate_relative_rewards,
     select_best_actions,
 )
@@ -86,7 +86,7 @@ class ExperimentConfig:
             raise ValidationError("rl_low_mdp requires a kernel path")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResultRow:
     algo: str
     n: int
@@ -216,7 +216,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
         pairs, counts, p_first = sampling_plan(v, n)
         schedule = np.zeros_like(v.schedule)
         schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = counts / n
-        table = consistent_weight_table(schedule, v.features)
+        table = build_weight_table(schedule, v.features)
     start = time.perf_counter()
     reps = np.arange(cfg.repetitions)
     data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)

@@ -5,10 +5,12 @@ Given a dataset of pairwise comparisons, the pipeline is
   1. empirical success rates per observed pair, clipped to the interval the
      bounded-reward model allows;
   2. an orthonormal basis of the span of observed feature differences and
-     the mass-weighted Gram matrix ``V`` of those differences;
+     the mass-weighted Gram matrix ``V`` of those differences
+     (``build_weight_table``, which refuses an inconsistent schedule);
   3. per-target weights that express a target feature difference as a
      combination of observed differences with minimal variance proxy
-     ``sum(w^2 / N)``, in closed form ``w = N * diff' V^{-1} diff``;
+     ``sum(w^2 / N)``, in closed form ``w = N * diff' V^{-1} diff``
+     (``WeightTable.targets`` in one stacked solve, ``entry`` one at a time);
   4. relative-reward estimates ``rhat = sum(w * log-odds(clipped rate))``
      against action 0, and per-state argmax selection with uniform tie
      resolution.
@@ -82,7 +84,7 @@ class WeightEntry:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Shared geometry for weight computations over one observed schedule."""
+    """Shared geometry for weight computations over one consistent observed schedule."""
 
     pairs: np.ndarray  # (m, 3) observed (k, i < j)
     masses: np.ndarray  # (m,) schedule values
@@ -91,11 +93,12 @@ class WeightTable:
     V: np.ndarray  # (r, r)
     target_coords: np.ndarray  # (S, A, r) coords of features[k, i] - features[k, 0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.V, rhs)
-
     def entry(self, target: tuple[int, int, int], features: np.ndarray) -> WeightEntry:
+        """Weights and gamma of one target: the per-target reference for ``targets``."""
         k, i, j = target
+        S, A = features.shape[:2]
+        if not (0 <= k < S and 0 <= i < A and 0 <= j < A):
+            raise ValidationError(f"weight target {target} outside (S, A) {S, A}")
         if i == j:
             raise ValidationError("weight target requires two distinct actions")
         tdiff = features[k, i] - features[k, j]
@@ -105,10 +108,25 @@ class WeightTable:
                 f"target difference {target} lies outside the observed span",
                 witness=(int(k), int(i), int(j)),
             )
-        solved = self.solve(coords)
+        solved = np.linalg.solve(self.V, coords)
         weights = self.masses * (self.diff_coords @ solved)
         return WeightEntry(target=(int(k), int(i), int(j)), weights=weights,
                            gamma=float(coords @ solved))
+
+    def targets(self, features: np.ndarray, ks, iz, js) -> tuple[np.ndarray, np.ndarray]:
+        """``V^{-1}`` solves (t, r) and gammas (t,) of the targets f[k, i] − f[k, j]: one stacked
+        pass of ``entry``'s products, solve and span refusal; gammas keep their bits."""
+        tdiff = features[ks, iz] - features[ks, js]
+        coords = tdiff[:, None, :] @ self.basis.T
+        bad = np.flatnonzero(outside_span(tdiff, self.basis, coords[:, 0]))
+        if bad.size:
+            target = (int(ks[bad[0]]), int(iz[bad[0]]), int(js[bad[0]]))
+            raise InconsistencyError(
+                f"target difference {target} lies outside the observed span", witness=target
+            )
+        solved = np.linalg.solve(np.broadcast_to(self.V, (len(tdiff), *self.V.shape)),
+                                 coords.transpose(0, 2, 1))
+        return solved[:, :, 0], (coords @ solved)[:, 0, 0]
 
     def entry_dict(self, entry: WeightEntry) -> dict[tuple[int, int, int], float]:
         return {
@@ -185,21 +203,23 @@ def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return V
 
 
-def _weight_table(schedule: np.ndarray, features: np.ndarray, consistent: bool) -> WeightTable:
+def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
+    """Span basis, design matrix and target coordinates of a schedule's
+    observed differences.  Refuses a schedule whose observed span misses some
+    pairwise difference, reporting the first offending triple, always
+    (k, 0, i); see ``instances.span_witness``."""
     pairs, diffs, masses = observed_differences(features, schedule)
     basis = span_rows(diffs).copy()
     basis.flags.writeable = False
     # One projection of the S·(A−1) differences against action 0 gives the
-    # estimation targets and, for a consistent table, the witness test.
+    # estimation targets and the witness test.
     telescoped = features - features[:, :1]
     target_coords = telescoped @ basis.T
-    if consistent:
-        witness = span_witness(telescoped, basis, target_coords)
-        if witness is not None:
-            raise InconsistencyError(
-                f"dataset schedule is inconsistent; witness pair {witness}",
-                witness=witness,
-            )
+    witness = span_witness(telescoped, basis, target_coords)
+    if witness is not None:
+        raise InconsistencyError(
+            f"dataset schedule is inconsistent; witness pair {witness}", witness=witness
+        )
     if pairs.shape[0] == 0:
         raise ValidationError("schedule observes no pairs; span is empty")
     if basis.shape[0] == 0:
@@ -213,19 +233,6 @@ def _weight_table(schedule: np.ndarray, features: np.ndarray, consistent: bool) 
         V=build_design_matrix(coords, masses),
         target_coords=target_coords,
     )
-
-
-def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
-    """Span basis, design matrix and target coordinates of a schedule's
-    observed differences."""
-    return _weight_table(schedule, features, consistent=False)
-
-
-def consistent_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
-    """``build_weight_table`` for an empirical schedule, refusing one whose
-    observed span misses some pairwise difference (reporting the first
-    offending triple, always (k, 0, i); see ``instances.span_witness``)."""
-    return _weight_table(schedule, features, consistent=True)
 
 
 def local_weights_qp_oracle(
@@ -338,7 +345,7 @@ def dataset_inputs(
     """
     counts, rates = _tally(data, features.shape[:2], L)
     schedule = counts / data.n
-    return schedule, rates, consistent_weight_table(schedule, features)
+    return schedule, rates, build_weight_table(schedule, features)
 
 
 def report_from_rates(

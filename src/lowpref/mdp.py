@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _consistent_table, _targets
+from .analysis import _consistent_table
 from .errors import NumericalError, ValidationError
 from .estimator import rl_low
 from .instances import Instance, PreferenceDataset, read_json
@@ -210,6 +210,8 @@ def mdp_policy_search(
     """
     if np.shape(rhat) != kernel.P.shape[:2]:
         raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {kernel.P.shape[:2]}")
+    if np.shape(rho) != kernel.P.shape[:1]:
+        raise ValidationError(f"rho {np.shape(rho)} does not fit S = {kernel.P.shape[0]}")
     if mode == "iterate":
         return _search_iterate(kernel, rhat)
     if mode != "enumerate":
@@ -268,7 +270,8 @@ def mdp_hardness(v: Instance, kernel: TransitionKernel) -> tuple[float, dict[Pol
     policies, values, best = _optimal_policy(v, kernel)
     # Each policy's worst disagreeing gamma: one max over an (S, A) table, −inf at π*.
     pi_star, gamma = policies[best], np.full(kernel.P.shape[:2], -np.inf)
-    gamma[np.arange(v.num_actions) != pi_star[:, None]] = _targets(v, table, pi_star)[2]
+    ks, iz = np.nonzero(np.arange(v.num_actions) != pi_star[:, None])
+    gamma[ks, iz] = table.targets(v.features, ks, iz, pi_star[ks])[1]
     others = np.delete(policies, best, axis=0)
     worst = gamma[np.arange(v.num_states), others].max(axis=1)
     gaps = (values[best] - np.delete(values, best)).tolist()

@@ -159,6 +159,24 @@ class TestSpanBasis:
         with pytest.raises(ValidationError):
             build_weight_table(np.zeros_like(t1.schedule), t1.features)
 
+    def test_inconsistent_schedule_refused_with_witness(self, tri):
+        schedule = np.zeros_like(tri.schedule)
+        schedule[0, 0, 1] = 1.0  # spans f0 - f1 only; f2 - f0 leaves the span
+        with pytest.raises(InconsistencyError, match=r"witness pair \(0, 0, 2\)$") as err:
+            build_weight_table(schedule, tri.features)
+        assert err.value.witness == (0, 0, 2)
+        # Every pair observed but those of action 3 in state 1, which alone
+        # leaves the plane x3 = 0.
+        features = np.random.default_rng(4).normal(size=(2, 4, 3))
+        features[:, :, 2] = 0.0
+        features[1, 3, 2] = 1.0
+        schedule, (iu, ju) = np.zeros((2, 4, 4)), np.triu_indices(4, k=1)
+        schedule[:, iu, ju] = 1.0
+        schedule[1, :, 3] = 0.0
+        with pytest.raises(InconsistencyError) as err:
+            build_weight_table(schedule / schedule.sum(), features)
+        assert err.value.witness == (1, 0, 3)
+
 
 class TestDesignMatrix:
     def test_t1(self, t1):
@@ -221,11 +239,21 @@ class TestLocalWeights:
         assert np.max(np.abs(recon - target)) < 1e-8
 
     def test_target_outside_span_rejected(self, tri):
+        # A consistent table on collinear features, f2 = (2, 0), queried with
+        # tri's own features, whose f0 - f2 leaves the table's span.
         schedule = np.zeros_like(tri.schedule)
         schedule[0, 0, 1] = 1.0
-        table = build_weight_table(schedule, tri.features)
+        collinear = np.array(tri.features)
+        collinear[0, 2] = (2.0, 0.0)
+        table = build_weight_table(schedule, collinear)
         with pytest.raises(InconsistencyError):
             table.entry((0, 0, 2), tri.features)
+
+    def test_target_outside_the_index_range_refused(self, tri):
+        table = build_weight_table(tri.schedule, tri.features)
+        for target in ((0, -1, 0), (0, 3, 0), (0, 0, 3), (1, 0, 1), (-1, 0, 1)):
+            with pytest.raises(ValidationError, match=rf"^weight target \({target[0]}, "):
+                table.entry(target, tri.features)
 
     def test_qp_oracle_matches(self, t1, t2):
         for v, target in ((t1, (0, 0, 1)), (t2, (0, 0, 1))):
@@ -441,6 +469,68 @@ class TestStackedOracle:
         selections, _ = select_best_actions(rhat[:20], 4, "mle-tie")
         for r in range(20):
             assert selections[r].tolist() == _select_oracle(rhat[r], 4, "mle-tie")[0]
+
+
+def _random_targets(rng, S, A, count):
+    """(k, i, j) index arrays with i != j in both orders."""
+    ks = rng.integers(S, size=count)
+    iz = rng.integers(A, size=count)
+    js = (iz + rng.integers(1, A, size=count)) % A
+    return ks, iz, js
+
+
+class TestStackedTargets:
+    """WeightTable.targets against WeightTable.entry, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_entry(table, features, ks, iz, js):
+        solved, gamma = table.targets(features, ks, iz, js)
+        assert solved.shape == (len(ks), table.V.shape[0]) and gamma.shape == (len(ks),)
+        for t, target in enumerate(zip(ks.tolist(), iz.tolist(), js.tolist())):
+            entry = table.entry(target, features)
+            k, i, j = target
+            coords = (features[k, i] - features[k, j]) @ table.basis.T
+            assert solved[t].tobytes() == np.linalg.solve(table.V, coords).tobytes()
+            weights = table.masses * (table.diff_coords @ solved[t])
+            assert weights.tobytes() == entry.weights.tobytes()
+            assert float(gamma[t]).hex() == entry.gamma.hex()
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_committed_instances(self, path):
+        v = load_instance(path)
+        table = build_weight_table(v.schedule, v.features)
+        targets = _random_targets(np.random.default_rng(31), v.num_states, v.num_actions, 300)
+        self._assert_matches_entry(table, v.features, *targets)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            v = random_consistent_instance(rng, s_max=4, a_max=6)
+            table = build_weight_table(v.schedule, v.features)
+            targets = _random_targets(rng, v.num_states, v.num_actions, 25)
+            self._assert_matches_entry(table, v.features, *targets)
+
+    def test_refusal_names_the_first_outside_target(self):
+        rng = np.random.default_rng(8)
+        S, A = 3, 5
+        flat = np.concatenate([rng.normal(size=(S, A, 2)), np.zeros((S, A, 1))], axis=2)
+        schedule, (iu, ju) = np.zeros((S, A, A)), np.triu_indices(A, k=1)
+        schedule[:, iu, ju] = 1.0 / (S * iu.size)
+        table = build_weight_table(schedule, flat)  # spans the plane x3 = 0
+        lifted = flat.copy()
+        lifted[1, 3, 2] = lifted[2, 1, 2] = 1.0  # two actions leave the plane
+        for _ in range(20):
+            ks, iz, js = _random_targets(rng, S, A, 12)
+            outside = (lifted[ks, iz, 2] != 0) | (lifted[ks, js, 2] != 0)
+            if not outside.any():
+                self._assert_matches_entry(table, lifted, ks, iz, js)
+                continue
+            first = int(np.argmax(outside))
+            want = (int(ks[first]), int(iz[first]), int(js[first]))
+            with pytest.raises(InconsistencyError) as err:
+                table.targets(lifted, ks, iz, js)
+            assert err.value.witness == want
+            assert str(err.value) == f"target difference {want} lies outside the observed span"
 
 
 class TestTransitivity:

@@ -438,6 +438,11 @@ class TestMismatchedInputs:
         with pytest.raises(ValidationError, match=r"rho \(3,\)"):
             mdp_policy_search(np.zeros((2, 3)), kernel, rho)
 
+    def test_rho_refused_by_name_in_both_modes(self, kernel):
+        for mode in ("enumerate", "iterate"):
+            with pytest.raises(ValidationError, match=r"^rho \(3,\) does not fit S = 2$"):
+                mdp_policy_search(np.zeros((2, 3)), kernel, np.full(3, 1 / 3), mode)
+
 
 class TestMdpRegret:
     def test_optimal_policy_has_zero_regret(self, t2):
