@@ -42,7 +42,7 @@ from .instances import (
     span_rows,
     span_witness,
 )
-from .rng import substream
+from .rng import derive_seeds, integers
 
 # Smallest admissible eigenvalue of V relative to its trace.  V is positive
 # definite on the observed span by construction; anything smaller signals a
@@ -116,11 +116,17 @@ class WeightTable:
     def targets(self, features: np.ndarray, ks, iz, js) -> tuple[np.ndarray, np.ndarray]:
         """``V^{-1}`` solves (t, r) and gammas (t,) of the targets f[k, i] − f[k, j]: one stacked
         pass of ``entry``'s products, solve and span refusal; gammas keep their bits."""
+        S, A = features.shape[:2]
+        index = np.stack([ks, iz, js], axis=-1)
+        bad = np.flatnonzero(((index < 0) | (index >= (S, A, A))).any(axis=-1))
+        if bad.size:
+            target = tuple(index[bad[0]].tolist())
+            raise ValidationError(f"weight target {target} outside (S, A) {S, A}")
         tdiff = features[ks, iz] - features[ks, js]
         coords = tdiff[:, None, :] @ self.basis.T
         bad = np.flatnonzero(outside_span(tdiff, self.basis, coords[:, 0]))
         if bad.size:
-            target = (int(ks[bad[0]]), int(iz[bad[0]]), int(js[bad[0]]))
+            target = tuple(index[bad[0]].tolist())
             raise InconsistencyError(
                 f"target difference {target} lies outside the observed span", witness=target
             )
@@ -319,18 +325,19 @@ def select_best_actions(
     """Per-state argmax of the estimates, ties resolved uniformly by seed.
 
     ``rhat`` is (S, A) or a stack (..., S, A); ``tie_seed`` is one seed or
-    an array of them over the leading axes.  A tie in state k draws from the
-    (tie seed, label, k) stream of its row.  Returns the (..., S) selections
-    and, for an (S, A) input, the tied actions of each state; for a stack
-    the second value is None.
+    an array of them over the leading axes.  A tie in state k takes the
+    ``substream(tie seed, label, k).integers(ties)``-th tied action of its row,
+    every tie drawn at once by ``rng.integers``.  Returns the (..., S) selections
+    and, for an (S, A) input, the tied actions of each state; for a stack, None.
     """
     is_max = rhat == rhat.max(axis=-1, keepdims=True)
-    selections = np.argmax(is_max, axis=-1)
-    seeds = np.broadcast_to(tie_seed, rhat.shape[:-2])
-    for *row, k in np.argwhere(is_max.sum(axis=-1) > 1).tolist():
-        ties = np.flatnonzero(is_max[(*row, k)])
-        stream = substream(seeds[tuple(row)], label, k)
-        selections[(*row, k)] = ties[stream.integers(ties.size)]
+    selections, counts = np.argmax(is_max, axis=-1), is_max.sum(axis=-1)
+    *rows, ks = tied = np.nonzero(counts > 1)
+    if ks.size:  # derive_seeds costs ~40 us even with no streams
+        if np.ndim(tie_seed):  # a scalar goes to derive_seeds, which masks any Python int
+            tie_seed = np.broadcast_to(tie_seed, rhat.shape[:-2])[tuple(rows)]
+        draws = integers(derive_seeds(tie_seed, label, ks), counts[tied])
+        selections[tied] = np.argmax(is_max[tied].cumsum(axis=-1) > draws[:, None], axis=-1)
     tie_sets = [np.flatnonzero(m).tolist() for m in is_max] if rhat.ndim == 2 else None
     return selections, tie_sets
 

@@ -74,9 +74,11 @@ def load_kernel(path, dims: tuple[int, int]) -> TransitionKernel:
 def _policy_rows(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
     """A policy (S,) or policy rows (Π, S) as int64, refused unless they and rho fit the kernel."""
     rows, (S, A) = np.asarray(policy), kernel.P.shape[:2]
+    if np.shape(rho) != (S,):
+        raise ValidationError(f"rho {np.shape(rho)} does not fit S = {S}")
     if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu" \
-            or np.any((rows < 0) | (rows >= A)) or np.shape(rho) != (S,):
-        raise ValidationError(f"policy {policy} or rho {np.shape(rho)} does not fit (S, A) {S, A}")
+            or np.any((rows < 0) | (rows >= A)):
+        raise ValidationError(f"policy {policy} does not fit (S, A) {S, A}")
     return rows.astype(np.int64, copy=False)
 
 

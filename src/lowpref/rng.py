@@ -10,10 +10,10 @@ stable across processes.
 ``substream(*parts)`` is ``np.random.default_rng(derive_seed(*parts))``, the
 scalar reference.  Per-pair callers draw whole batches with numpy's
 arithmetic reproduced bit for bit on ``uint64`` arrays: ``derive_seeds`` is
-``SeedSequence`` over integer-array labels, and ``uniforms``/``normals`` give
-``default_rng(seed).random(count)`` or ``.normal(0.0, std)`` per seed from
-PCG64's 128-bit LCG as (hi, lo) halves and numpy's ziggurat tables, read on
-first use.  Below ``LANE_MIN_STREAMS`` streams, numpy draws each stream.
+``SeedSequence`` over integer-array labels; ``uniforms``, ``normals`` and
+``integers`` give ``default_rng(seed).random(count)``, ``.normal(0.0, std)`` and
+``.integers(size)`` per seed from PCG64's 128-bit LCG as (hi, lo) halves, numpy's
+ziggurat tables and its Lemire draw.  Below ``LANE_MIN_STREAMS`` streams, numpy draws each.
 """
 
 from __future__ import annotations
@@ -212,6 +212,20 @@ def normals(seeds: np.ndarray, stds: np.ndarray) -> np.ndarray:
         slow = np.flatnonzero(rabs >= ki[idx])
     out[slow] = [np.random.default_rng(seed).normal(0.0, std)
                  for seed, std in zip(seeds[slow].tolist(), stds[slow].tolist())]
+    return out
+
+
+def integers(seeds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(size)`` per seed and size in [1, 2**32]: numpy's
+    Lemire draw is the high word of (first output mod 2**32)·size unless its low word is
+    below (2**32 − size) % size, which numpy rejects; those streams draw on their own."""
+    out, slow = np.empty(len(seeds), dtype=np.int64), np.arange(len(seeds))
+    if len(seeds) >= LANE_MIN_STREAMS:
+        m = (next(_outputs(seeds)) & _M32) * sizes.astype(np.uint64)
+        out = (m >> _S32).astype(np.int64)
+        slow = np.flatnonzero((m & _M32) < (2**32 - sizes) % sizes)
+    out[slow] = [np.random.default_rng(seed).integers(size)
+                 for seed, size in zip(seeds[slow].tolist(), sizes[slow].tolist())]
     return out
 
 

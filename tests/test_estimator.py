@@ -1,6 +1,7 @@
 """Estimation pipeline: clipping, basis, design matrix, weights, estimates."""
 
 import math
+import re
 import time
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from lowpref import (
     success_rates,
 )
 from lowpref.estimator import SuccessRates, WeightTable, dataset_inputs
-from lowpref.rng import derive_seeds, substream
+from lowpref.baseline import MleFit, mle_select
+from lowpref.rng import LANE_MIN_STREAMS, derive_seeds, substream
 from conftest import random_consistent_instance
 
 COMMITTED = sorted(
@@ -533,6 +535,23 @@ class TestStackedTargets:
             assert str(err.value) == f"target difference {want} lies outside the observed span"
 
 
+    def test_index_outside_the_range_refused(self, paper_instance):
+        """Named as ``entry`` names it, first bad target first; (0, -1, 0)
+        would otherwise wrap to the gamma of (0, 9, 0)."""
+        v = paper_instance
+        table = build_weight_table(v.schedule, v.features)
+        for bad in ((0, -1, 0), (0, 0, 10), (2, 1, 0), (-1, 3, 4), (0, 10, -1)):
+            ks, iz, js = (np.array([0, 1, t, 1, 0]) for t in bad)
+            iz[[0, 1, 3]], js[[0, 1, 3]] = (1, 2, 3), (0, 5, 9)
+            ks[4], iz[4], js[4] = 5, 0, 1  # a later bad target is not the one named
+            message = f"weight target {bad} outside (S, A) (2, 10)"
+            with pytest.raises(ValidationError) as err:
+                table.targets(v.features, ks, iz, js)
+            assert str(err.value) == message
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                table.entry(bad, v.features)
+
+
 class TestTransitivity:
     def test_additivity_across_targets(self):
         rng = np.random.default_rng(314)
@@ -570,6 +589,60 @@ class TestSelection:
         assert ties == [[0, 1]]
         freq = np.mean(np.asarray(picks) == 0)
         assert abs(freq - 0.5) <= 0.02
+
+    @staticmethod
+    def _planted(ties, R=40, S=3, A=4, seed=0):
+        """An (R, S, A) stack with exactly ``ties`` tied states."""
+        rng = np.random.default_rng(seed)
+        rhat = rng.normal(size=(R, S, A))
+        for flat in rng.choice(R * S, size=ties, replace=False):
+            r, k = divmod(int(flat), S)
+            tied = rng.choice(A, size=int(rng.integers(2, A + 1)), replace=False)
+            rhat[r, k, tied] = rhat[r, k].max()
+        return rhat
+
+    @pytest.mark.parametrize("tie_seed", [-1, 0, 2**63 + 5])
+    @pytest.mark.parametrize("ties", [5, LANE_MIN_STREAMS, 90])
+    def test_scalar_seed_matches_substream_loop(self, tie_seed, ties):
+        """Fewer ties than ``LANE_MIN_STREAMS`` draw one stream each, more
+        draw on the lanes; a scalar seed of any sign is masked as substream masks it."""
+        rhat = self._planted(ties)
+        assert int(((rhat == rhat.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).sum()) == ties
+        selections, tie_sets = select_best_actions(rhat, tie_seed)
+        assert tie_sets is None
+        for r in range(len(rhat)):
+            assert selections[r].tolist() == _select_oracle(rhat[r], tie_seed)[0]
+        wide = self._planted(ties, R=1, S=120)[0]  # every tie in one (S, A) call
+        got, got_ties = select_best_actions(wide, tie_seed)
+        assert (got.tolist(), got_ties) == _select_oracle(wide, tie_seed)
+
+    @pytest.mark.parametrize("ties", [5, LANE_MIN_STREAMS, 90])
+    def test_seed_array_matches_substream_loop(self, ties):
+        rhat = self._planted(ties, seed=ties)
+        seeds = derive_seeds(2, "tie", np.arange(len(rhat)))  # uint64, many above 2**63
+        for tie_seed in (seeds, seeds.astype(np.int64), np.arange(-20, 20)):
+            selections, _ = select_best_actions(rhat, tie_seed)
+            for r, seed in enumerate(tie_seed.tolist()):
+                assert selections[r].tolist() == _select_oracle(rhat[r], seed)[0]
+
+    @pytest.mark.parametrize("ties", [5, 30])
+    def test_mle_select_draws_mle_tie_streams(self, ties):
+        """Fits pinned to the bound tie on equal features; their draws use the
+        "mle-tie" label, not "tie"."""
+        rng = np.random.default_rng(ties)
+        theta = rng.normal(size=3)
+        features = rng.normal(size=(40, 5, 3))
+        for k in range(ties):
+            best = int(np.argmax(features[k] @ theta))
+            features[k, (best + 1 + np.arange(k % 3 + 1)) % 5] = features[k, best]
+        fit = MleFit(theta_hat=theta, log_likelihood=0.0, converged=True, iterations=1)
+        rhat = features @ theta
+        for seed in (0, 7, 2**64 - 1):
+            got = mle_select(fit, features, seed).tolist()
+            assert got == _select_oracle(rhat, seed, "mle-tie")[0]
+            assert got == select_best_actions(rhat, seed, "mle-tie")[0].tolist()
+        drawn = [mle_select(fit, features, seed) for seed in range(8)]
+        assert any((a != drawn[0]).any() for a in drawn[1:])
 
     def test_t1_high_rate_selects_first(self, t1):
         table = build_weight_table(t1.schedule, t1.features)

@@ -438,6 +438,15 @@ class TestMismatchedInputs:
         with pytest.raises(ValidationError, match=r"rho \(3,\)"):
             mdp_policy_search(np.zeros((2, 3)), kernel, rho)
 
+    def test_rho_refused_by_its_shape_alone(self, kernel):
+        """The refusal names shapes, not the (Π, S) policy rows."""
+        rows = np.array(list(itertools.product(range(3), repeat=2)))
+        for policy in (rows, (0, 0), rows[:1]):
+            with pytest.raises(ValidationError, match=r"^rho \(3,\) does not fit S = 2$"):
+                stationary_distribution(kernel, policy, np.full(3, 1 / 3))
+        with pytest.raises(ValidationError, match=r"^rho \(2, 1\) does not fit S = 2$"):
+            stationary_distribution(kernel, rows, np.full((2, 1), 0.5))
+
     def test_rho_refused_by_name_in_both_modes(self, kernel):
         for mode in ("enumerate", "iterate"):
             with pytest.raises(ValidationError, match=r"^rho \(3,\) does not fit S = 2$"):

@@ -15,6 +15,7 @@ from lowpref.rng import (
     _ziggurat,
     derive_seed,
     derive_seeds,
+    integers,
     normals,
     substream,
     uniforms,
@@ -98,6 +99,7 @@ class TestDeriveSeeds:
         empty = np.zeros(0, dtype=np.uint64)
         assert uniforms(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
         assert normals(empty, np.zeros(0)).shape == (0,)
+        assert integers(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_float_labels_refused(self):
         with pytest.raises(TypeError):
@@ -152,6 +154,47 @@ class TestLaneDraws:
             got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
             expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
             assert got.tobytes() == np.array(expected).tobytes()
+
+
+def _numpy_integers(seeds, sizes):
+    return [np.random.default_rng(seed).integers(size) for seed, size in zip(seeds, sizes)]
+
+
+class TestLaneIntegers:
+    """``integers`` against ``default_rng(seed).integers(size)``, draw for draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds=st.lists(u64, min_size=1, max_size=40),
+           sizes=st.lists(st.integers(1, 1000), min_size=40, max_size=40))
+    def test_matches_default_rng(self, seeds, sizes):
+        sizes = sizes[: len(seeds)]
+        got = integers(np.array(seeds, dtype=np.uint64), np.array(sizes))
+        assert got.dtype == np.int64
+        assert got.tolist() == _numpy_integers(seeds, sizes)
+
+    @pytest.mark.parametrize("streams", [1, LANE_MIN_STREAMS - 1, LANE_MIN_STREAMS, 1000])
+    def test_every_size_up_to_a_thousand(self, streams):
+        """Sizes 1 to 1,000, in batches below and above the crossover."""
+        sizes = np.arange(1, 1001)
+        seeds = derive_seeds(5, "integers", np.arange(1000))
+        for lo in range(0, 1000, streams):
+            got = integers(seeds[lo : lo + streams], sizes[lo : lo + streams])
+            want = _numpy_integers(seeds[lo : lo + streams].tolist(), sizes[lo : lo + streams])
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("streams", [LANE_MIN_STREAMS - 1, 2000])
+    def test_rejected_streams_draw_on_their_own(self, streams):
+        """At size 3·2**30 numpy rejects a low word below 2**30, about one
+        stream in four, and draws again."""
+        size = 3 * 2**30
+        seeds = derive_seeds(11, "reject", np.arange(streams))
+        low = [int(np.random.default_rng(s).bit_generator.random_raw()) & 0xFFFFFFFF
+               for s in seeds.tolist()]
+        rejected = sum(word < (2**32 - size) % size for word in low)
+        if streams > LANE_MIN_STREAMS:
+            assert 0.2 < rejected / streams < 0.3
+        got = integers(seeds, np.full(streams, size))
+        assert got.tolist() == _numpy_integers(seeds.tolist(), [size] * streams)
 
 
 def _consumes_one_output(rabs: int, idx: int) -> bool:
