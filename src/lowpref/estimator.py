@@ -333,7 +333,7 @@ def select_best_actions(
     is_max = rhat == rhat.max(axis=-1, keepdims=True)
     selections, counts = np.argmax(is_max, axis=-1), is_max.sum(axis=-1)
     *rows, ks = tied = np.nonzero(counts > 1)
-    if ks.size:  # derive_seeds costs ~40 us even with no streams
+    if ks.size:  # derive_seeds costs ~33 us even with no streams
         if np.ndim(tie_seed):  # a scalar goes to derive_seeds, which masks any Python int
             tie_seed = np.broadcast_to(tie_seed, rhat.shape[:-2])[tuple(rows)]
         draws = integers(derive_seeds(tie_seed, label, ks), counts[tied])
