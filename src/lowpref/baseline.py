@@ -2,12 +2,30 @@
 
 Fits the latent parameter by maximising the logistic log-likelihood of the
 observed winners, constrained to the polytope where every (state, action)
-reward stays within the known bound.  The optimiser is damped Newton from a
-zero start: backtracking on the objective, with steps truncated at the
-feasible boundary.  The problem is convex, so the fit is deterministic.
+reward stays within the known bound.  The fit runs on per-pair win counts:
+pair p = (k, i, j) with difference ``x_p = f[k, i] - f[k, j]``, ``c_p``
+records and ``W_p`` wins of action i adds
+``W_p * softplus(-x_p . theta) + (c_p - W_p) * softplus(x_p . theta)`` to the
+negative log-likelihood (NLL), the sum of its records' terms, so a fit costs
+the m observed pairs, not the records.
 
-This is deliberately a plain MLE: no pessimism, no confidence sets.  It
-serves as the comparison baseline for regret curves.
+The optimiser is active-set projected Newton from a zero start: damped
+Newton steps restricted to the faces the iterate sits on, backtracking on
+the objective and truncated at the next face.  It stops on a KKT test that
+scales with the data: a face point is stationary once the Newton decrement
+``d' H d`` of its step is below ``DECREMENT_RTOL * (1 + NLL)``.  A stationary
+point releases its most negative face multiplier and re-solves, and with no
+negative multiplier left the fit stops.  ``MleFit.status`` says how:
+
+* ``interior``: stationary with no face held (the unconstrained optimum);
+* ``boundary_kkt``: stationary on reward-bound faces whose multipliers are
+  all non-negative (the constrained optimum);
+* ``stalled``: a step left theta bit-identical, or no step was admissible;
+* ``cap``: ``MAX_ITERATIONS`` steps were taken without meeting the test.
+
+The problem is convex, so the fit is deterministic.  This is deliberately a
+plain MLE: no pessimism, no confidence sets.  It serves as the comparison
+baseline for regret curves.
 """
 
 from __future__ import annotations
@@ -17,45 +35,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimator import select_best_actions
+from .estimator import _tally, select_best_actions
 from .instances import Instance, make_instance, validate_instance
 
 MAX_ITERATIONS = 500
-GRAD_TOL = 1e-8
+DECREMENT_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
 class MleFit:
     theta_hat: np.ndarray
     log_likelihood: float
-    converged: bool
+    status: str  # "interior", "boundary_kkt", "stalled" or "cap"
     iterations: int
 
-
-def _design(data, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rec = data.records
-    if rec.shape[0] == 0:
-        raise ValidationError("cannot fit on an empty dataset")
-    x = features[rec[:, 0], rec[:, 1]] - features[rec[:, 0], rec[:, 2]]
-    y = np.where(rec[:, 3] == 1, 1.0, -1.0)
-    return x, y
+    @property
+    def converged(self) -> bool:
+        """Whether the fit stopped at a KKT point."""
+        return self.status in ("interior", "boundary_kkt")
 
 
-def _nll(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
-    margins = y * (x @ theta)
-    return float(np.logaddexp(0.0, -margins).sum())
-
-
-def mle_log_likelihood(data, features: np.ndarray, theta: np.ndarray) -> float:
-    x, y = _design(data, features)
-    return -_nll(x, y, theta)
-
-
-def mle_gradient(data, features: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood (not the negative)."""
-    x, y = _design(data, features)
-    margins = y * (x @ theta)
-    return (y / (1.0 + np.exp(margins))) @ x
+def _nll(x: np.ndarray, counts: np.ndarray, wins: np.ndarray, theta: np.ndarray) -> float:
+    z = x @ theta
+    return float(wins @ np.logaddexp(0.0, -z) + (counts - wins) @ np.logaddexp(0.0, z))
 
 
 def _active_normals(constraints: np.ndarray, L: float, theta: np.ndarray) -> np.ndarray:
@@ -105,72 +107,64 @@ def _max_feasible_step(
 def mle_fit(data, features: np.ndarray, L: float) -> MleFit:
     """Constrained logistic MLE over the latent parameter.
 
-    Active-set projected Newton: damped steps inside the polytope, Newton
-    steps restricted to active faces once the boundary is reached, faces
-    released when their multipliers turn negative.  ``converged`` reports
-    the interior criterion (gradient norm below tolerance); boundary-pinned
-    fits terminate at their KKT point but keep a nonzero gradient.
+    Counts the dataset's records per observed pair (``estimator._tally``)
+    and fits on the counts; see ``fit_counts`` and the module docstring for
+    the stop rule and the statuses.
     """
-    x, y = _design(data, features)
+    counts, wins, rates = _tally(data, features.shape[:2], L)
+    at = tuple(rates.pairs.T)
+    return fit_counts(rates.pairs, counts[at], wins[at], features, L)
+
+
+def fit_counts(
+    pairs: np.ndarray, counts: np.ndarray, wins: np.ndarray, features: np.ndarray, L: float
+) -> MleFit:
+    """The fit on per-pair counts: pairs (m, 3) as (k, i, j), their record
+    counts (m,) and the wins of action i (m,)."""
+    if len(pairs) == 0:
+        raise ValidationError("cannot fit on an empty dataset")
+    x = features[pairs[:, 0], pairs[:, 1]] - features[pairs[:, 0], pairs[:, 2]]
     d = features.shape[2]
     constraints = features.reshape(-1, d)
     theta = np.zeros(d)
-    value = _nll(x, y, theta)
-    iterations = 0
-    converged = False
-    for outer in range(1, MAX_ITERATIONS + 1):
-        iterations = outer
-        margins = y * (x @ theta)
-        sig = 1.0 / (1.0 + np.exp(margins))
-        grad = -(y * sig) @ x  # gradient of the NLL
-        if float(np.linalg.norm(grad)) <= GRAD_TOL:
-            converged = True
-            iterations = outer - 1
-            break
-        weights = sig * (1.0 - sig)
-        hess = (x * weights[:, None]).T @ x
+    value = _nll(x, counts, wins, theta)
+    status, iterations = "cap", 0
+    while iterations < MAX_ITERATIONS:
+        first = 1.0 / (1.0 + np.exp(-(x @ theta)))  # P(action i wins) per pair
+        grad = x.T @ (counts * first - wins)  # gradient of the NLL
+        hess = (x * (counts * first * (1.0 - first))[:, None]).T @ x
         hess += 1e-10 * max(float(np.trace(hess)) / d, 1.0) * np.eye(d)
 
         normals = _active_normals(constraints, L, theta)
         direction, multipliers = _face_newton_step(hess, grad, normals)
         # A stationary face point is optimal only if no multiplier is
-        # negative; otherwise release the worst face and step off it.
-        step_scale = 1e-12 * (1 + float(np.linalg.norm(theta)))
-        while (
-            float(np.linalg.norm(direction)) <= step_scale
-            and normals.shape[0]
-            and multipliers.min() < -1e-8
-        ):
+        # negative; otherwise release the worst face and step off it.  The
+        # decrement is d'Hd, not the equal -g'd: rounding leaves d a small
+        # component along the held normals, which g magnifies there.
+        floor = DECREMENT_RTOL * (1.0 + abs(value))
+        while direction @ hess @ direction <= floor and multipliers.size and multipliers.min() < 0:
             normals = np.delete(normals, int(np.argmin(multipliers)), axis=0)
             direction, multipliers = _face_newton_step(hess, grad, normals)
-        if float(np.linalg.norm(direction)) <= step_scale:
-            break  # KKT point (interior handled by the gradient test above)
-
-        t_max = _max_feasible_step(constraints, L, theta, direction)
-        if t_max <= 1e-15:
+        if direction @ hess @ direction <= floor:
+            status = "boundary_kkt" if normals.size else "interior"
             break
-        step = min(1.0, t_max)
+
+        step = min(1.0, _max_feasible_step(constraints, L, theta, direction))
         slope = float(grad @ direction)
-        moved = False
         while step > 1e-15:
             candidate = theta + step * direction
-            cand_value = _nll(x, y, candidate)
+            cand_value = _nll(x, counts, wins, candidate)
             if cand_value <= value + 1e-4 * step * slope:
-                moved = True
                 break
             step *= 0.5
-        if not moved:
+        if step <= 1e-15 or np.array_equal(candidate, theta):
+            status = "stalled"
             break
-        theta = candidate
-        value = cand_value
+        theta, value = candidate, cand_value
+        iterations += 1
     if not np.isfinite(value):
         raise NumericalError("likelihood became non-finite during the fit")
-    return MleFit(
-        theta_hat=theta,
-        log_likelihood=-value,
-        converged=converged,
-        iterations=iterations,
-    )
+    return MleFit(theta_hat=theta, log_likelihood=-value, status=status, iterations=iterations)
 
 
 def mle_select(fit: MleFit, features: np.ndarray, tie_seed: int = 0) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import mle_fit, mle_select
+from .baseline import fit_counts, mle_select
 from .errors import ValidationError
 from .estimator import (
     SuccessRates,
@@ -39,7 +39,6 @@ from .instances import (
     load_instance,
     make_paper_instance,
     read_json,
-    sample_dataset,
     sample_winners,
     sampling_plan,
 )
@@ -207,13 +206,15 @@ def _resolve_instance(cfg: ExperimentConfig) -> Instance:
 def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     """The repetitions of one (algorithm, n).
 
-    The rates algorithms share one sampling plan, empirical schedule and
-    weight table: per-pair record counts are deterministic ceilings, so only
-    the winners vary between repetitions, and every step up to the regret
-    runs once on the stack of all repetitions.
+    Every algorithm shares one sampling plan: per-pair record counts are
+    deterministic ceilings, so only the winners vary between repetitions,
+    and all repetitions' win counts are drawn in one batch.  The rates
+    algorithms share one empirical schedule and weight table, and every step
+    up to the regret runs once on the stack of all repetitions; ``mle`` fits
+    each repetition's row of win counts.
     """
+    pairs, counts, p_first = sampling_plan(v, n)
     if algo != "mle":
-        pairs, counts, p_first = sampling_plan(v, n)
         schedule = np.zeros_like(v.schedule)
         schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = counts / n
         table = build_weight_table(schedule, v.features)
@@ -221,9 +222,9 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     reps = np.arange(cfg.repetitions)
     data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)
     tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie")
+    wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
+    won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
     if algo != "mle":
-        wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
-        won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
         rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
@@ -239,8 +240,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
         for rep in range(cfg.repetitions):
             start = time.perf_counter()
             if algo == "mle":
-                data = sample_dataset(v, n, data_seeds[rep])
-                fit = mle_fit(data, v.features, v.reward_bound)
+                fit = fit_counts(pairs, counts, won[rep], v.features, v.reward_bound)
                 regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
             else:
                 policy = mdp_policy_search(rhat[rep], kernel, v.rho, tie_seed=tie_seeds[rep])

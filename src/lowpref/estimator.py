@@ -173,14 +173,15 @@ def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
 
 
 def _tally(data: PreferenceDataset, dims: tuple[int, int], L: float):
-    """Records per (k, i, j) as (S, A, A), and the success rates they give."""
+    """Records and first-action wins per (k, i, j) as (S, A, A), and the
+    success rates they give."""
     S, A = dims
     flat = pair_index(data, dims)
     counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
     wins = np.bincount(flat, weights=data.records[:, 3], minlength=S * A * A).reshape(S, A, A)
     pairs = np.argwhere(counts > 0)
     at = (pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    return counts, SuccessRates.of(pairs, wins[at] / counts[at], L)
+    return counts, wins, SuccessRates.of(pairs, wins[at] / counts[at], L)
 
 
 def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> SuccessRates:
@@ -190,7 +191,7 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     design schedule of an instance is an error because the rates divide by
     realised counts.
     """
-    counts, rates = _tally(data, schedule.shape[:2], L)
+    counts, _, rates = _tally(data, schedule.shape[:2], L)
     if not np.array_equal(schedule, counts / data.n):
         raise ValidationError("schedule does not match the dataset's proportions")
     return rates
@@ -350,7 +351,7 @@ def dataset_inputs(
     Refuses datasets whose empirical schedule leaves some pairwise feature
     difference outside the observed span, reporting the offending triple.
     """
-    counts, rates = _tally(data, features.shape[:2], L)
+    counts, _, rates = _tally(data, features.shape[:2], L)
     schedule = counts / data.n
     return schedule, rates, build_weight_table(schedule, features)
 

@@ -76,9 +76,14 @@ def _policy_rows(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarra
     rows, (S, A) = np.asarray(policy), kernel.P.shape[:2]
     if np.shape(rho) != (S,):
         raise ValidationError(f"rho {np.shape(rho)} does not fit S = {S}")
-    if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu" \
-            or np.any((rows < 0) | (rows >= A)):
-        raise ValidationError(f"policy {policy} does not fit (S, A) {S, A}")
+    if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu":
+        raise ValidationError(f"policy of shape {rows.shape} and dtype {rows.dtype} "
+                              f"does not fit (S, A) {S, A}")
+    bad = np.flatnonzero(np.any((rows < 0) | (rows >= A), axis=-1).ravel())
+    if bad.size:
+        row = tuple(int(a) for a in rows.reshape(-1, S)[bad[0]])
+        name = f"policy row {bad[0]}" if rows.ndim == 2 else "policy"
+        raise ValidationError(f"{name} {row} does not fit (S, A) {S, A}")
     return rows.astype(np.int64, copy=False)
 
 

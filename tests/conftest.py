@@ -72,3 +72,24 @@ def random_consistent_instance(rng, s_max=3, a_max=4, d_max=4):
             )
         except Exception:
             continue  # measure-zero tie or duplicate; redraw
+
+
+def _record_terms(data, features):
+    """Per-record feature differences x and signs y (+1 when the first action won)."""
+    rec = data.records
+    x = features[rec[:, 0], rec[:, 1]] - features[rec[:, 0], rec[:, 2]]
+    y = np.where(rec[:, 3] == 1, 1.0, -1.0)
+    return x, y
+
+
+def mle_log_likelihood(data, features, theta):
+    """Logistic log-likelihood summed record by record: the reference for the
+    per-pair fit."""
+    x, y = _record_terms(data, features)
+    return -float(np.logaddexp(0.0, -y * (x @ theta)).sum())
+
+
+def mle_gradient(data, features, theta):
+    """Gradient of the per-record log-likelihood (not the negative)."""
+    x, y = _record_terms(data, features)
+    return (y / (1.0 + np.exp(y * (x @ theta)))) @ x

@@ -13,8 +13,9 @@ from lowpref import (
     sample_dataset,
     zero_sum_reparam,
 )
-from lowpref.baseline import mle_gradient, mle_log_likelihood
-from conftest import random_consistent_instance
+from lowpref.baseline import MAX_ITERATIONS
+from lowpref.rng import derive_seed
+from conftest import mle_gradient, mle_log_likelihood, random_consistent_instance
 
 
 def records_on_t1(wins, losses):
@@ -97,6 +98,55 @@ class TestFit:
             mle_fit(empty, t1.features, L=1.0)
 
 
+class TestStopRule:
+    """How a fit stops: a KKT test on the face-Newton decrement, and a status."""
+
+    # Log-likelihoods the fit reached when it ran to the iteration cap on
+    # these cells of the README config (paper instance, master seed 42).
+    CAPPED_BEFORE = {
+        (50, 174): -57.74421996827575,
+        (250, 128): -179.60809541375926,
+        (250, 154): -182.8615614320118,
+    }
+
+    def test_interior_optimum(self, t1):
+        fit = mle_fit(records_on_t1(73, 27), t1.features, L=1.0)
+        assert fit.status == "interior" and fit.converged
+
+    def test_boundary_optimum(self, t1):
+        fit = mle_fit(records_on_t1(40, 0), t1.features, L=1.0)
+        assert fit.status == "boundary_kkt" and fit.converged
+
+    def test_formerly_capped_cells_stop_at_least_as_high(self, paper_instance):
+        v = paper_instance
+        for (n, rep), before in self.CAPPED_BEFORE.items():
+            data = sample_dataset(v, n, seed=derive_seed(42, "data", n, rep))
+            fit = mle_fit(data, v.features, v.reward_bound)
+            assert fit.status != "cap" and fit.iterations < MAX_ITERATIONS, (n, rep)
+            assert fit.log_likelihood >= before - 1e-9, (n, rep)
+
+    def test_readme_config_fits_all_stop_at_kkt_points(self, paper_instance):
+        v = paper_instance
+        statuses = {}
+        for n in range(50, 401, 50):
+            for rep in range(200):
+                data = sample_dataset(v, n, seed=derive_seed(42, "data", n, rep))
+                status = mle_fit(data, v.features, v.reward_bound).status
+                statuses[status] = statuses.get(status, 0) + 1
+        assert set(statuses) <= {"interior", "boundary_kkt"}, statuses
+        assert sum(statuses.values()) == 1600
+
+    def test_likelihood_matches_per_record_sum(self, t1, t2, paper_instance):
+        rng = np.random.default_rng(5)
+        cases = [(t1, 30), (t2, 50), (paper_instance, 200)]
+        cases += [(random_consistent_instance(rng), int(rng.integers(5, 300))) for _ in range(20)]
+        for v, n in cases:
+            data = sample_dataset(v, n, seed=int(rng.integers(1e6)))
+            fit = mle_fit(data, v.features, v.reward_bound)
+            per_record = mle_log_likelihood(data, v.features, fit.theta_hat)
+            assert fit.log_likelihood == pytest.approx(per_record, rel=1e-10, abs=0.0)
+
+
 class TestSelect:
     def test_true_parameter_recovers_optima(self, paper_instance):
         v = paper_instance
@@ -109,7 +159,7 @@ class TestSelect:
     def test_zero_parameter_ties_uniformly(self, t1):
         from lowpref.baseline import MleFit
 
-        fit = MleFit(theta_hat=np.zeros(1), log_likelihood=0.0, converged=True, iterations=0)
+        fit = MleFit(theta_hat=np.zeros(1), log_likelihood=0.0, status="interior", iterations=0)
         picks = [mle_select(fit, t1.features, tie_seed=s)[0] for s in range(4000)]
         freq = np.mean(np.asarray(picks) == 0)
         assert abs(freq - 0.5) <= 0.03
@@ -117,7 +167,9 @@ class TestSelect:
     def test_positive_estimate_selects_first(self, t1):
         from lowpref.baseline import MleFit
 
-        fit = MleFit(theta_hat=np.array([0.99]), log_likelihood=0.0, converged=True, iterations=3)
+        fit = MleFit(
+            theta_hat=np.array([0.99]), log_likelihood=0.0, status="interior", iterations=3
+        )
         assert mle_select(fit, t1.features)[0] == 0
 
 

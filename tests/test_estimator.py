@@ -635,7 +635,7 @@ class TestSelection:
         for k in range(ties):
             best = int(np.argmax(features[k] @ theta))
             features[k, (best + 1 + np.arange(k % 3 + 1)) % 5] = features[k, best]
-        fit = MleFit(theta_hat=theta, log_likelihood=0.0, converged=True, iterations=1)
+        fit = MleFit(theta_hat=theta, log_likelihood=0.0, status="interior", iterations=1)
         rhat = features @ theta
         for seed in (0, 7, 2**64 - 1):
             got = mle_select(fit, features, seed).tolist()

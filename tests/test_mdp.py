@@ -431,6 +431,14 @@ class TestMismatchedInputs:
         with pytest.raises(ValidationError, match=r"policy \(0, 3\)"):
             mdp_regret(v, kernel, (0, 3))
 
+    def test_refusal_names_the_bad_policy_row(self, kernel):
+        """A stack with one bad row is refused by that row, not the whole array."""
+        rows = np.array(list(itertools.product(range(3), repeat=2)))
+        rows[3] = (0, 3)
+        with pytest.raises(ValidationError,
+                           match=r"^policy row 3 \(0, 3\) does not fit \(S, A\) \(2, 3\)$"):
+            stationary_distribution(kernel, rows, np.array([0.5, 0.5]))
+
     def test_rho_of_the_wrong_length_is_refused(self, kernel):
         rho = np.full(3, 1 / 3)
         with pytest.raises(ValidationError, match=r"rho \(3,\)"):
