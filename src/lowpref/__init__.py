@@ -10,7 +10,7 @@ from .analysis import (
     lower_bound_adversary,
     regret_envelopes,
 )
-from .baseline import MleFit, mle_fit, mle_select, zero_sum_reparam
+from .baseline import MleFit, mle_fit, mle_select
 from .bench import (
     ExperimentConfig,
     ResultRow,
@@ -28,7 +28,6 @@ from .estimator import (
     WeightTable,
     build_design_matrix,
     build_weight_table,
-    clip_rate,
     estimate_relative_rewards,
     local_weights_qp_oracle,
     rl_low,
@@ -63,7 +62,6 @@ from .privacy import (
     PrivacyParams,
     dp_rl_low,
     gaussian_mechanism,
-    sensitivity_audit,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estimator import _tally, select_best_actions
-from .instances import Instance, make_instance, validate_instance
 
 MAX_ITERATIONS = 500
 DECREMENT_RTOL = 1e-15
@@ -174,18 +173,3 @@ def mle_select(fit: MleFit, features: np.ndarray, tie_seed: int = 0) -> np.ndarr
     own "mle-tie" streams, apart from the estimators' "tie" streams.
     """
     return select_best_actions(features @ fit.theta_hat, tie_seed, "mle-tie")[0]
-
-
-def zero_sum_reparam(v: Instance) -> Instance:
-    """Equivalent instance with one extra dimension making the parameter sum zero.
-
-    The appended parameter coordinate is the negated sum of the original
-    ones and every feature vector gets a zero in that slot, so all rewards
-    (hence all relative rewards) are unchanged.
-    """
-    features = np.zeros((v.num_states, v.num_actions, v.dim + 1))
-    features[:, :, : v.dim] = v.features
-    theta = np.append(v.theta, -float(v.theta.sum()))
-    return validate_instance(
-        make_instance(features, theta, v.rho, v.schedule, v.reward_bound)
-    )

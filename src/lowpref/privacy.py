@@ -80,15 +80,6 @@ def gaussian_mechanism(
     return SuccessRates.of(pairs, noisy, rates.clip_bound)
 
 
-def sensitivity_audit(schedule: np.ndarray, n: int) -> dict[tuple[int, int, int], float]:
-    """Exact per-pair change in the success rate from flipping one label."""
-    pairs = np.argwhere(schedule > 0)
-    return {
-        (int(k), int(i), int(j)): float(1.0 / (n * schedule[k, i, j]))
-        for k, i, j in pairs
-    }
-
-
 def dp_rl_low(
     data: PreferenceDataset,
     features: np.ndarray,

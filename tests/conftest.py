@@ -93,3 +93,13 @@ def mle_gradient(data, features, theta):
     """Gradient of the per-record log-likelihood (not the negative)."""
     x, y = _record_terms(data, features)
     return (y / (1.0 + np.exp(y * (x @ theta)))) @ x
+
+
+def sensitivity_audit(schedule, n):
+    """Exact per-pair change in the success rate from flipping one label: the
+    reference for the Gaussian mechanism's noise scales."""
+    pairs = np.argwhere(schedule > 0)
+    return {
+        (int(k), int(i), int(j)): float(1.0 / (n * schedule[k, i, j]))
+        for k, i, j in pairs
+    }

@@ -1,4 +1,4 @@
-"""Constrained logistic MLE baseline and the zero-sum reparameterisation."""
+"""Constrained logistic MLE baseline."""
 
 import math
 
@@ -11,7 +11,6 @@ from lowpref import (
     mle_fit,
     mle_select,
     sample_dataset,
-    zero_sum_reparam,
 )
 from lowpref.baseline import MAX_ITERATIONS
 from lowpref.rng import derive_seed
@@ -171,22 +170,3 @@ class TestSelect:
             theta_hat=np.array([0.99]), log_likelihood=0.0, status="interior", iterations=3
         )
         assert mle_select(fit, t1.features)[0] == 0
-
-
-class TestZeroSumReparam:
-    def test_paper_instance_extension(self, paper_instance):
-        extended = zero_sum_reparam(paper_instance)
-        assert extended.dim == 6
-        assert np.array_equal(extended.theta, [1, 1, 1, 1, 1, -5])
-        assert np.all(extended.features[:, :, 5] == 0.0)
-
-    def test_relative_rewards_unchanged(self, paper_instance):
-        v = paper_instance
-        extended = zero_sum_reparam(v)
-        base = v.rewards()
-        ext = extended.rewards()
-        assert np.max(np.abs((base - base[:, :1]) - (ext - ext[:, :1]))) < 1e-12
-
-    def test_parameter_sums_to_zero(self, paper_instance):
-        extended = zero_sum_reparam(paper_instance)
-        assert float(np.ones(6) @ extended.theta) == 0.0

@@ -16,10 +16,10 @@ from lowpref import (
     gaussian_mechanism,
     rl_low,
     sample_dataset,
-    sensitivity_audit,
     success_rates,
 )
 import lowpref.privacy as privacy_mod
+from conftest import sensitivity_audit
 
 PRIVACY = PrivacyParams(epsilon=0.9, delta=0.2)
 EXPECTED_STD = math.sqrt(2 * math.log(1.25 / 0.2)) / (0.9 * 100 * 1.0)

@@ -1,5 +1,6 @@
 """Random streams: the batched path against numpy's own, draw for draw."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from lowpref.instances import sample_winners, sampling_plan
 from lowpref.privacy import _draw_noise
 from lowpref.rng import (
     LANE_MIN_STREAMS,
+    _seeded,
     _ziggurat,
     derive_seed,
     derive_seeds,
@@ -94,6 +96,43 @@ class TestDeriveSeeds:
         for r, rep in enumerate(reps.tolist()):
             assert got[r].tolist() == [derive_seed(rep, "sample", int(x), 5) for x in k]
 
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.lists(st.sampled_from(EDGES), min_size=1, max_size=5),
+           labels=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=8),
+           middle=label)
+    def test_seed_column_against_label_arrays(self, seeds, labels, middle):
+        """An (R, 1) column of one- and two-word seeds against (m,) labels
+        that wrap from negative or take two words: the column splits the
+        broadcast lanes, and every lane still equals derive_seed."""
+        seeds = [1, 2**32] + seeds
+        labels = [-1, 2**32 + 3] + labels
+        column = np.array(seeds, dtype=np.uint64)[:, None]
+        ks = np.array(labels, dtype=np.int64)
+        got = derive_seeds(column, middle, ks, ks[::-1])
+        assert got.shape == (len(seeds), len(labels)) and got.dtype == np.uint64
+        assert got.size >= LANE_MIN_STREAMS
+        for row, seed in zip(got.tolist(), seeds):
+            assert row == [derive_seed(seed, middle, a, b) for a, b in zip(labels, labels[::-1])]
+
+    def test_zero_length_axis(self):
+        for parts, shape in (((np.arange(3)[:, None], "x", np.zeros(0, dtype=np.int64)), (3, 0)),
+                             ((np.zeros((0, 1), dtype=np.uint64), "x", np.arange(20)), (0, 20))):
+            got = derive_seeds(*parts)
+            assert got.shape == shape and got.dtype == np.uint64
+
+    @pytest.mark.parametrize("seed", [42, 2**40])
+    def test_scalar_prefix_grows_by_broadcasting(self, seed):
+        """The first four entropy words are scalars (one- or two-word seed,
+        a string label, an integer), so the pool starts on one lane and
+        broadcasts to the batch at the first array word."""
+        reps = np.arange(LANE_MIN_STREAMS + 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = derive_seeds(seed, "data", 7, reps)
+            tail = derive_seeds(seed, "data", 7, 9, "tie", reps)
+        assert got.tolist() == [derive_seed(seed, "data", 7, rep) for rep in reps.tolist()]
+        assert tail.tolist() == [derive_seed(seed, "data", 7, 9, "tie", rep) for rep in reps.tolist()]
+
     def test_empty_batch(self):
         assert derive_seeds(3, "x", np.zeros(0, dtype=np.int64)).shape == (0,)
         empty = np.zeros(0, dtype=np.uint64)
@@ -131,6 +170,17 @@ class TestLaneDraws:
         got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
         expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
         assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_seeded_state_matches_numpy(self):
+        """The seeded PCG64 state and increment of each lane, which the
+        streams drawn off the lanes are set to, are default_rng(seed)'s."""
+        seeds = derive_seeds(3, "state", np.arange(40))
+        seeds[:3] = [0, 2**32 - 1, 2**32]
+        state = _seeded(seeds)
+        for lane, seed in enumerate(seeds.tolist()):
+            hi, lo, inc_hi, inc_lo = (int(half[lane]) for half in state)
+            want = np.random.default_rng(seed).bit_generator.state["state"]
+            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
 
     def test_normal_off_the_fast_path(self):
         """Planted seeds whose first output lands on idx 0, on idx 1 (never
