@@ -3,11 +3,12 @@
 Policies are deterministic, encoded as a tuple of one action per state.
 The long-run state distribution of a policy is its time-average (Cesaro)
 occupancy from the initial distribution, which is well defined for
-periodic and reducible chains alike.  It is computed by power iteration on
-the half-lazy kernel (I + P)/2: lazification changes neither absorption
-probabilities nor per-class stationary laws, so the plain limit of the
-lazy chain equals the time-average of the original one, and it converges
-geometrically where direct averaging needs O(1/tol) steps.
+periodic and reducible chains alike.  It is rho times the limit of the
+half-lazy kernel (I + P)/2, reached by repeated squaring: lazification
+changes neither absorption probabilities nor per-class stationary laws,
+so the plain limit of the lazy chain equals the time-average of the
+original one, and k squarings take 2^k steps where direct averaging needs
+O(1/tol).  The same limit gives policy iteration its gains and biases.
 
 Policy search maximises the occupancy-weighted estimated reward by
 ``enumerate`` (the default: every policy, from one stacked occupancy build)
@@ -26,9 +27,8 @@ from .estimator import rl_low
 from .instances import Instance, PreferenceDataset, read_json
 from .rng import substream
 
-POWER_ITERATION_CAP = 100_000
 ENUMERATION_CAP = 1_000_000
-OCCUPANCY_BLOCK = 4096  # policies per stacked power iteration, 8·S² bytes of lazy kernel each
+OCCUPANCY_BLOCK = 4096  # policies per stacked squaring, two S×S float64 matrices each
 
 Policy = tuple[int, ...]
 
@@ -71,11 +71,20 @@ def load_kernel(path, dims: tuple[int, int]) -> TransitionKernel:
     return validate_kernel(payload["P"], dims)
 
 
+def _check_rho(rho, S: int) -> None:
+    """Refuse an initial law of the wrong shape or with a non-finite or negative entry."""
+    if np.shape(rho) != (S,):
+        raise ValidationError(f"rho {np.shape(rho)} does not fit S = {S}")
+    for at, x in enumerate(np.asarray(rho, dtype=np.float64).tolist()):
+        if not 0.0 <= x < np.inf:
+            what = "negative" if -np.inf < x < 0 else "non-finite"
+            raise ValidationError(f"rho has a {what} entry at index {(at,)}")
+
+
 def _policy_rows(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
     """A policy (S,) or policy rows (Π, S) as int64, refused unless they and rho fit the kernel."""
     rows, (S, A) = np.asarray(policy), kernel.P.shape[:2]
-    if np.shape(rho) != (S,):
-        raise ValidationError(f"rho {np.shape(rho)} does not fit S = {S}")
+    _check_rho(rho, S)
     if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu":
         raise ValidationError(f"policy of shape {rows.shape} and dtype {rows.dtype} "
                               f"does not fit (S, A) {S, A}")
@@ -91,40 +100,35 @@ def stationary_distribution(kernel: TransitionKernel, policy, rho: np.ndarray) -
     """Time-average state occupancy of the policy chain started from rho: (S,) for one
     policy, (Π, S) for policy rows, each row with the bits of its own call."""
     rows = np.atleast_2d(_policy_rows(kernel, policy, rho))
-    mu, S = np.empty(rows.shape), len(rho)
+    mu, S, rho = np.empty(rows.shape), len(rho), np.asarray(rho, dtype=np.float64)
     for lo in range(0, len(rows), OCCUPANCY_BLOCK):
-        live = np.arange(lo, min(lo + OCCUPANCY_BLOCK, len(rows)))
-        lazy = 0.5 * (np.eye(S) + kernel.P[np.arange(S), rows[live]])
-        cur = np.tile(np.asarray(rho, dtype=np.float64), (live.size, 1))
-        for _ in range(POWER_ITERATION_CAP):
-            nxt = np.matmul(cur[:, None, :], lazy)[:, 0]
-            done = 0.5 * np.abs(nxt - cur).sum(axis=1) <= 1e-10
-            if done.any():  # shrinking copies the lazy kernels, so only when a row is done
-                mu[live[done]] = nxt[done]
-                live, lazy, nxt = live[~done], lazy[~done], nxt[~done]
-            if not live.size:
-                break
-            cur = nxt
-        else:
-            raise NumericalError("occupancy power iteration did not converge")
-    mu[(mu < 0) & (mu > -1e-12)] = 0.0
-    if np.any(mu < 0):
-        raise NumericalError("occupancy iteration produced a negative mass")
+        block = rows[lo:lo + OCCUPANCY_BLOCK]
+        np.matmul(rho, _cesaro_projector(kernel.P[np.arange(S), block]), out=mu[lo:lo + len(block)])
     return mu if np.ndim(policy) == 2 else mu[0]
 
 
-def _cesaro_projector(P_pi: np.ndarray) -> np.ndarray:
-    """Limit matrix of the chain's time averages, via lazy-kernel squaring."""
-    M = 0.5 * (np.eye(P_pi.shape[0]) + P_pi)
+def _cesaro_projector(P: np.ndarray) -> np.ndarray:
+    """Limit matrices of the time averages of a stack (..., S, S) of chains, by lazy-kernel
+    squaring.  P's own storage is the working stack, so P is overwritten.  A chain leaves
+    the loop once it converges, so each keeps the bits of its own call."""
+    M = P.reshape(-1, *P.shape[-2:])
+    np.multiply(np.add(M, np.eye(M.shape[-1]), out=M), 0.5, out=M)
+    nxt, live, n = np.empty_like(M), np.arange(len(M)), len(M)
     for _ in range(64):
-        nxt = M @ M
+        np.matmul(M[:n], M[:n], out=nxt[:n])
         # Rounding drifts the row sums and every squaring doubles the drift;
         # renormalising keeps M stochastic so a near miss of the stop test
         # cannot run away to inf.
-        nxt /= nxt.sum(axis=1, keepdims=True)
-        if float(np.max(np.abs(nxt - M))) <= 1e-13:
-            return nxt
-        M = nxt
+        nxt[:n] /= nxt[:n].sum(axis=2, keepdims=True)
+        done = np.abs(np.subtract(nxt[:n], M[:n], out=M[:n]), out=M[:n]).max(axis=(1, 2)) <= 1e-13
+        # Live chains move to the front of M, converged ones park behind them.
+        order = np.argsort(done, kind="stable")
+        np.take(nxt[:n], order, axis=0, out=M[:n], mode="clip")
+        live[:n] = live[order]
+        n -= np.count_nonzero(done)
+        if not n:
+            nxt[live] = M
+            return nxt.reshape(P.shape)
     raise NumericalError("Cesaro projector did not converge in 64 squarings")
 
 
@@ -134,12 +138,9 @@ def _evaluate_policy(
     """Gain and bias of a policy under the average-reward criterion."""
     at = np.arange(len(policy)), np.asarray(policy, dtype=np.int64)
     P_pi, r_pi = kernel.P[at], rewards[at]
-    proj = _cesaro_projector(P_pi)
-    gain = proj @ r_pi
-    eye = np.eye(P_pi.shape[0])
-    # Deviation operator: (I - P + proj)^{-1} (I - proj).
-    bias = np.linalg.solve(eye - P_pi + proj, (eye - proj) @ r_pi)
-    return gain, bias
+    proj, eye = _cesaro_projector(P_pi.copy()), np.eye(len(policy))
+    # Gain proj r; bias through the deviation operator (I - P + proj)^{-1} (I - proj).
+    return proj @ r_pi, np.linalg.solve(eye - P_pi + proj, (eye - proj) @ r_pi)
 
 
 def policy_objective(
@@ -217,8 +218,7 @@ def mdp_policy_search(
     """
     if np.shape(rhat) != kernel.P.shape[:2]:
         raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {kernel.P.shape[:2]}")
-    if np.shape(rho) != kernel.P.shape[:1]:
-        raise ValidationError(f"rho {np.shape(rho)} does not fit S = {kernel.P.shape[0]}")
+    _check_rho(rho, kernel.P.shape[0])
     if mode == "iterate":
         return _search_iterate(kernel, rhat)
     if mode != "enumerate":
@@ -234,8 +234,8 @@ def mdp_policy_search(
 def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, int]:
     """Policy rows, true values under ``v.rho`` and the index of the unique optimum."""
     rewards = v.rewards()
-    # Occupancies carry ~1e-10 iteration residue, so uniqueness is judged
-    # at a matching tolerance rather than exact equality.
+    # Occupancies carry rounding residue (at most 1.9e-16 against an extended-
+    # precision limit on the test kernels), so uniqueness is judged at a tolerance.
     atol = 1e-9 * max(1.0, float(np.max(np.abs(rewards))))
     policies, values = _policy_values(kernel, rewards, v.rho)
     best = int(np.argmax(values))

@@ -27,7 +27,6 @@ from lowpref import (
 from lowpref.mdp import (
     ENUMERATION_CAP,
     OCCUPANCY_BLOCK,
-    POWER_ITERATION_CAP,
     _cesaro_projector,
     _optimal_policy,
     _policy_values,
@@ -72,7 +71,7 @@ class TestCesaroProjector:
         # and M overflows to inf.
         P = np.array([[0.9983713721937341, 0.0016286278062660165],
                       [0.04529044448516321, 0.9547095555148367]])
-        proj = _cesaro_projector(P)
+        proj = _cesaro_projector(P.copy())
         stationary = np.array([P[1, 0], P[0, 1]]) / (P[0, 1] + P[1, 0])
         assert np.allclose(stationary, [0.96529, 0.03471], atol=1e-5)
         assert np.max(np.abs(proj - stationary)) < 1e-12
@@ -80,6 +79,22 @@ class TestCesaroProjector:
     def test_no_convergence_raises(self):
         with pytest.raises(NumericalError, match="64 squarings"):
             _cesaro_projector(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+    def test_stacked_chains_keep_their_single_call_bits(self):
+        # The near miss above needs 12 squarings; the fast chain converges
+        # in a few and leaves the stack first.
+        near = np.array([[0.9983713721937341, 0.0016286278062660165],
+                         [0.04529044448516321, 0.9547095555148367]])
+        fast = np.array([[0.5, 0.5], [0.25, 0.75]])
+        stack = _cesaro_projector(np.stack([fast, near, fast]))
+        assert stack.shape == (3, 2, 2)
+        for proj, P in zip(stack, (fast, near, fast)):
+            assert proj.tobytes() == _cesaro_projector(P.copy()).tobytes()
+
+    def test_nan_chain_in_a_stack_raises(self):
+        fast = np.array([[0.5, 0.5], [0.25, 0.75]])
+        with pytest.raises(NumericalError, match="64 squarings"):
+            _cesaro_projector(np.stack([fast, np.array([[np.nan, 1.0], [0.0, 1.0]]), fast]))
 
 
 class TestStationaryDistribution:
@@ -125,25 +140,16 @@ class TestStationaryDistribution:
             assert abs(d.sum() - 1.0) < 1e-10
 
 
-def _per_policy_occupancy(kernel, policy, rho):
-    """``stationary_distribution`` as first written: one power iteration per
-    policy, the oracle the stacked build must match bit for bit."""
+def _longdouble_occupancy(kernel, policies, rho):
+    """Occupancy rows from extended-precision lazy-kernel squarings, renormalised,
+    a fixed 64 of them with no stop test."""
     S = kernel.P.shape[0]
-    P_pi = kernel.P[np.arange(S), np.asarray(policy, dtype=np.int64)]
-    lazy = 0.5 * (np.eye(S) + P_pi)
-    mu = np.asarray(rho, dtype=np.float64).copy()
-    for _ in range(POWER_ITERATION_CAP):
-        nxt = mu @ lazy
-        if 0.5 * float(np.abs(nxt - mu).sum()) <= 1e-10:
-            mu = nxt
-            break
-        mu = nxt
-    else:
-        raise NumericalError("occupancy power iteration did not converge")
-    mu[(mu < 0) & (mu > -1e-12)] = 0.0
-    if np.any(mu < 0):
-        raise NumericalError("occupancy iteration produced a negative mass")
-    return mu
+    M = 0.5 * (np.eye(S, dtype=np.longdouble)
+               + kernel.P[np.arange(S), policies].astype(np.longdouble))
+    for _ in range(64):
+        M = M @ M
+        M /= M.sum(axis=-1, keepdims=True)
+    return np.asarray(rho, dtype=np.longdouble) @ M
 
 
 def _kernel_of_kind(rng, kind, S, A):
@@ -164,8 +170,15 @@ def _kernel_of_kind(rng, kind, S, A):
     return validate_kernel(P, (S, A))
 
 
+def _assert_rows_are_single_calls(kernel, policies, rho, stacked):
+    for row, policy in enumerate(policies):
+        one = stationary_distribution(kernel, tuple(policy.tolist()), rho)
+        assert one.shape == (kernel.P.shape[0],)
+        assert one.tobytes() == stacked[row].tobytes(), row
+
+
 class TestStackedOccupancy:
-    def test_matches_per_policy_oracle_bit_for_bit(self):
+    def test_rows_match_single_calls_and_an_extended_precision_limit(self):
         rng = np.random.default_rng(53)
         for S in range(1, 9):
             A = 3 if S <= 4 else 2
@@ -173,35 +186,32 @@ class TestStackedOccupancy:
             for kind in ("periodic", "absorbing", "sticky", "dirichlet"):
                 kernel = _kernel_of_kind(rng, kind, S, A)
                 rho = rng.dirichlet(np.ones(S))
-                expected = np.array([_per_policy_occupancy(kernel, p, rho) for p in policies])
                 stacked = stationary_distribution(kernel, policies, rho)
-                assert stacked.tobytes() == expected.tobytes(), (S, kind)
-                for row in rng.choice(len(policies), size=3):
-                    one = stationary_distribution(kernel, tuple(policies[row].tolist()), rho)
-                    assert one.shape == (S,)
-                    assert one.tobytes() == expected[row].tobytes(), (S, kind, row)
+                assert stacked.shape == (A**S, S)
+                _assert_rows_are_single_calls(kernel, policies, rho, stacked)
+                reference = _longdouble_occupancy(kernel, policies, rho)
+                assert float(np.max(np.abs(stacked - reference))) < 1e-14, (S, kind)
 
-    def test_block_boundary(self):
+    def test_rows_match_single_calls_across_the_block_boundary(self):
         rng = np.random.default_rng(59)
         A = 65  # 65^2 = 4,225 policies: one full block and a partial one
         assert A**2 > OCCUPANCY_BLOCK
         kernel = _kernel_of_kind(rng, "dirichlet", 2, A)
         rho = rng.dirichlet(np.ones(2))
         policies = np.indices((A, A)).reshape(2, -1).T
-        expected = np.array([_per_policy_occupancy(kernel, p, rho) for p in policies])
-        assert stationary_distribution(kernel, policies, rho).tobytes() == expected.tobytes()
+        stacked = stationary_distribution(kernel, policies, rho)
+        _assert_rows_are_single_calls(kernel, policies, rho, stacked)
 
-    def test_non_convergence_raises_as_the_oracle_does(self):
-        # Action 0 in state 0 leaks 1e-9 of mass per step, far too slowly for
-        # the stop test within the cap; action 1 converges at once.
+    def test_slow_leak_converges_in_a_stack(self):
+        # Action 0 in state 0 leaks 1e-9 of mass per step; action 1 moves
+        # every state to state 1 at once.
         P = np.array([[[1 - 1e-9, 1e-9], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
         kernel = validate_kernel(P, (2, 2))
         rho = np.array([1.0, 0.0])
-        with pytest.raises(NumericalError) as oracle:
-            _per_policy_occupancy(kernel, (0, 0), rho)
-        with pytest.raises(NumericalError) as stacked:
-            stationary_distribution(kernel, np.array([[1, 0], [0, 0], [1, 1]]), rho)
-        assert str(stacked.value) == str(oracle.value)
+        policies = np.array([[1, 0], [0, 0], [1, 1]])
+        stacked = stationary_distribution(kernel, policies, rho)
+        assert float(np.max(np.abs(stacked - [0.0, 1.0]))) < 1e-15
+        _assert_rows_are_single_calls(kernel, policies, rho, stacked)
 
     def test_values_are_per_policy_dot_products(self):
         rng = np.random.default_rng(61)
@@ -454,6 +464,19 @@ class TestMismatchedInputs:
                 stationary_distribution(kernel, policy, np.full(3, 1 / 3))
         with pytest.raises(ValidationError, match=r"^rho \(2, 1\) does not fit S = 2$"):
             stationary_distribution(kernel, rows, np.full((2, 1), 0.5))
+
+    def test_rho_with_a_bad_entry_is_refused(self, kernel):
+        rewards = np.zeros((2, 3))
+        for rho, what, at in (([-0.5, 1.5], "negative", 0), ([0.5, np.nan], "non-finite", 1),
+                              ([np.inf, 0.0], "non-finite", 0)):
+            message = rf"^rho has a {what} entry at index \({at},\)$"
+            with pytest.raises(ValidationError, match=message):
+                stationary_distribution(kernel, (0, 1), np.array(rho))
+            with pytest.raises(ValidationError, match=message):
+                policy_objective(kernel, rewards, (0, 1), np.array(rho))
+            for mode in ("enumerate", "iterate"):
+                with pytest.raises(ValidationError, match=message):
+                    mdp_policy_search(rewards, kernel, np.array(rho), mode)
 
     def test_rho_refused_by_name_in_both_modes(self, kernel):
         for mode in ("enumerate", "iterate"):
