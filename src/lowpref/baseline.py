@@ -169,7 +169,7 @@ def fit_counts(
 def mle_select(fit: MleFit, features: np.ndarray, tie_seed: int = 0) -> np.ndarray:
     """Greedy per-state action under the fitted parameter, ties uniform.
 
-    Fits pinned to the reward bound can tie exactly; the draws keep their
-    own "mle-tie" streams, apart from the estimators' "tie" streams.
+    Fits pinned to the reward bound can tie exactly; ``select_best_actions``
+    draws them as it draws the estimators' ties.
     """
-    return select_best_actions(features @ fit.theta_hat, tie_seed, "mle-tie")[0]
+    return select_best_actions(features @ fit.theta_hat, tie_seed)[0]

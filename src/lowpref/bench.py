@@ -123,9 +123,16 @@ class ResultTable:
 
 def simple_regret(v: Instance, selections):
     """State-law-weighted reward shortfall of the selected actions: a float
-    for (S,) selections, an array over the leading axes for a stack (..., S)."""
-    idx = np.asarray(selections, dtype=np.int64)
-    regret = np.sum(v.rho * v.gaps[np.arange(v.num_states), idx], axis=-1)
+    for (S,) selections, an array over the leading axes for a stack (..., S).
+    Refuses a trailing length other than S and an action outside [0, A)."""
+    idx, S, A = np.asarray(selections, dtype=np.int64), v.num_states, v.num_actions
+    if idx.shape[-1:] != (S,):
+        raise ValidationError(f"selections of shape {idx.shape} do not fit S = {S}")
+    if idx.size and not 0 <= idx.min() <= idx.max() < A:
+        at = tuple(int(x) for x in np.argwhere((idx < 0) | (idx >= A))[0])
+        raise ValidationError(f"selection {idx[at]} at index {at} is outside the "
+                              f"actions [0, {A}) of state {at[-1]}")
+    regret = np.sum(v.rho * v.gaps[np.arange(S), idx], axis=-1)
     return float(regret) if regret.ndim == 0 else regret
 
 
@@ -272,17 +279,12 @@ def summarize(table: ResultTable) -> list[dict]:
     """Sample mean / std (n-1 divisor) / standard error per (algo, n)."""
     if not table.rows:
         raise ValidationError("cannot summarize an empty table")
-    groups: dict[tuple[str, int], list[float]] = {}
-    order: list[tuple[str, int]] = []
+    groups: dict[tuple[str, int], list[float]] = {}  # in first-row order
     for row in table.rows:
-        key = (row.algo, row.n)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row.regret)
+        groups.setdefault((row.algo, row.n), []).append(row.regret)
     summary = []
-    for algo, n in order:
-        values = np.asarray(groups[(algo, n)])
+    for (algo, n), regrets in groups.items():
+        values = np.asarray(regrets)
         std = float(values.std(ddof=1)) if values.size > 1 else 0.0
         summary.append(
             {

@@ -36,6 +36,7 @@ from .errors import InconsistencyError, NumericalError, ValidationError
 from .instances import (
     SPAN_RTOL,
     PreferenceDataset,
+    check_finite,
     observed_differences,
     outside_span,
     pair_index,
@@ -148,13 +149,6 @@ class EstimateReport:
     rhat: np.ndarray  # (S, A)
     selections: np.ndarray  # (S,)
     tie_sets: list[list[int]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rhat": self.rhat.tolist(),
-            "selections": [int(a) for a in self.selections],
-            "tie_sets": [[int(a) for a in ties] for ties in self.tie_sets],
-        }
 
 
 def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
@@ -312,23 +306,25 @@ def estimate_relative_rewards(
 
 
 def select_best_actions(
-    rhat: np.ndarray, tie_seed=0, label: str = "tie"
+    rhat: np.ndarray, tie_seed=0
 ) -> tuple[np.ndarray, list[list[int]] | None]:
     """Per-state argmax of the estimates, ties resolved uniformly by seed.
 
     ``rhat`` is (S, A) or a stack (..., S, A); ``tie_seed`` is one seed or
     an array of them over the leading axes.  A tie in state k takes the
-    ``substream(tie seed, label, k).integers(ties)``-th tied action of its row,
+    ``substream(tie seed, "tie", k).integers(ties)``-th tied action of its row,
     every tie drawn at once by ``rng.integers``.  Returns the (..., S) selections
     and, for an (S, A) input, the tied actions of each state; for a stack, None.
+    A non-finite estimate is refused, naming its first index.
     """
+    check_finite(rhat, "rhat")
     is_max = rhat == rhat.max(axis=-1, keepdims=True)
     selections, counts = np.argmax(is_max, axis=-1), is_max.sum(axis=-1)
     *rows, ks = tied = np.nonzero(counts > 1)
     if ks.size:  # drawing no tie still costs ~17 us, more than the selection itself
         if np.ndim(tie_seed):  # a scalar goes to derive_seeds, which masks any Python int
             tie_seed = np.broadcast_to(tie_seed, rhat.shape[:-2])[tuple(rows)]
-        draws = integers(derive_seeds(tie_seed, label, ks), counts[tied])
+        draws = integers(derive_seeds(tie_seed, "tie", ks), counts[tied])
         selections[tied] = np.argmax(is_max[tied].cumsum(axis=-1) > draws[:, None], axis=-1)
     tie_sets = [np.flatnonzero(m).tolist() for m in is_max] if rhat.ndim == 2 else None
     return selections, tie_sets

@@ -130,6 +130,13 @@ def make_instance(features, theta, rho, schedule, reward_bound) -> Instance:
     return Instance(S, A, d, features, theta, rho, schedule, float(reward_bound))
 
 
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Refuse an array with a NaN or infinite entry, naming the first one's index."""
+    if not np.isfinite(values).all():
+        at = tuple(int(x) for x in np.argwhere(~np.isfinite(values))[0])
+        raise ValidationError(f"{name} has a non-finite entry at index {at}")
+
+
 def validate_instance(candidate: Instance) -> Instance:
     """Check every structural invariant; return the instance unchanged if sound."""
     v = candidate
@@ -144,10 +151,7 @@ def validate_instance(candidate: Instance) -> Instance:
         raise ValidationError(f"schedule shape {v.schedule.shape} != {(S, A, A)}")
 
     for name in ("features", "theta", "rho", "schedule"):
-        values = getattr(v, name)
-        if not np.all(np.isfinite(values)):
-            at = tuple(int(x) for x in np.argwhere(~np.isfinite(values))[0])
-            raise ValidationError(f"{name} has a non-finite entry at index {at}")
+        check_finite(getattr(v, name), name)
     if not math.isfinite(v.reward_bound):
         raise ValidationError(f"reward bound {v.reward_bound} is not finite")
 

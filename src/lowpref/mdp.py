@@ -23,9 +23,8 @@ import numpy as np
 
 from .analysis import _consistent_table
 from .errors import NumericalError, ValidationError
-from .estimator import rl_low
-from .instances import Instance, PreferenceDataset, read_json
-from .rng import substream
+from .estimator import dataset_inputs, estimate_relative_rewards, select_best_actions
+from .instances import Instance, PreferenceDataset, check_finite, read_json
 
 ENUMERATION_CAP = 1_000_000
 OCCUPANCY_BLOCK = 4096  # policies per stacked squaring, two S×S float64 matrices each
@@ -213,21 +212,22 @@ def mdp_policy_search(
 
     ``enumerate`` (the default) is exhaustive and serves as the reference
     oracle; ties break lexicographically unless a tie_seed is given, in which
-    case the winner is drawn uniformly among the tied policies.  ``iterate``
-    runs average-reward policy iteration, must agree with it, ignores tie_seed.
+    case ``select_best_actions`` draws the winner among the tied policies, as
+    one row of values.  ``iterate`` runs average-reward policy iteration, must
+    agree with it, ignores tie_seed.  A non-finite estimate is refused.
     """
     if np.shape(rhat) != kernel.P.shape[:2]:
         raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {kernel.P.shape[:2]}")
+    check_finite(rhat, "rhat")
     _check_rho(rho, kernel.P.shape[0])
     if mode == "iterate":
         return _search_iterate(kernel, rhat)
     if mode != "enumerate":
         raise ValidationError(f"unknown policy search mode: {mode}")
     policies, values = _policy_values(kernel, rhat, rho)
-    best = int(np.argmax(values))
-    tied = np.flatnonzero(values >= values[best])
-    if tie_seed is not None and len(tied) > 1:
-        best = tied[substream(tie_seed, "policy-tie").integers(len(tied))]
+    # The values as a stack of one row: the draw of ``values[None]``, without its tie-set list.
+    best = np.argmax(values) if tie_seed is None else \
+        select_best_actions(values[None, None], tie_seed)[0][0, 0]
     return tuple(policies[best].tolist())
 
 
@@ -264,8 +264,9 @@ def rl_low_mdp(
     tie_seed: int = 0,
 ) -> Policy:
     """Estimate relative rewards from comparisons, then search for a policy."""
-    report = rl_low(data, features, L, tie_seed=tie_seed)
-    return mdp_policy_search(report.rhat, kernel, rho, tie_seed=tie_seed)
+    _, rates, table = dataset_inputs(data, features, L)
+    rhat = estimate_relative_rewards(rates, table, features)
+    return mdp_policy_search(rhat, kernel, rho, tie_seed=tie_seed)
 
 
 def mdp_hardness(v: Instance, kernel: TransitionKernel) -> tuple[float, dict[Policy, float]]:

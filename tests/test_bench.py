@@ -81,6 +81,23 @@ class TestSimpleRegret:
             want = float(np.sum(v.rho * v.gaps[np.arange(S), selections[index]]))
             assert row.hex() == want.hex() == float(stacked[index]).hex()
 
+    def test_action_outside_the_range_is_refused_by_state(self, paper_instance):
+        v = paper_instance  # S = 2, A = 10
+        for selections, at, state in (([-1, 0], r"\(0,\)", 0), ([10, 0], r"\(0,\)", 0),
+                                      ([0, 10], r"\(1,\)", 1)):
+            with pytest.raises(ValidationError,
+                               match=rf"index {at} is outside the actions \[0, 10\) of state {state}$"):
+                simple_regret(v, selections)
+        stack = np.zeros((3, 4, 2), dtype=np.int64)
+        stack[2, 1, 1] = -3
+        with pytest.raises(ValidationError, match=r"^selection -3 at index \(2, 1, 1\) .* state 1$"):
+            simple_regret(v, stack)
+
+    def test_selections_of_the_wrong_length_are_refused(self, paper_instance):
+        for selections in ([0], [0, 0, 0], np.zeros((5, 1), dtype=np.int64), 0):
+            with pytest.raises(ValidationError, match="do not fit S = 2$"):
+                simple_regret(paper_instance, selections)
+
 
 class TestConfig:
     def test_requires_exactly_one_source(self):
@@ -259,7 +276,7 @@ def _mdp_regret_oracle(v, kernel, rhat, tie_seed):
     estimated = values(rhat)
     best = max(estimated)
     tied = [p for p, value in zip(policies, estimated) if value == best]
-    policy = tied[substream(tie_seed, "policy-tie").integers(len(tied))] if len(tied) > 1 \
+    policy = tied[substream(tie_seed, "tie", 0).integers(len(tied))] if len(tied) > 1 \
         else tied[0]
     true = values(v.rewards())
     return max(max(true) - true[policies.index(policy)], 0.0)

@@ -387,13 +387,13 @@ def _estimate_oracle(clipped, table):
     return table.target_coords @ g
 
 
-def _select_oracle(rhat, tie_seed, label="tie"):
+def _select_oracle(rhat, tie_seed):
     """One (S, A) row's selection by the per-state loop."""
     selections, tie_sets = [], []
     for k, row in enumerate(rhat):
         ties = np.flatnonzero(row == row.max())
         tie_sets.append([int(a) for a in ties])
-        pick = 0 if ties.size == 1 else substream(tie_seed, label, k).integers(ties.size)
+        pick = 0 if ties.size == 1 else substream(tie_seed, "tie", k).integers(ties.size)
         selections.append(int(ties[pick]))
     return selections, tie_sets
 
@@ -467,10 +467,10 @@ class TestStackedOracle:
             assert got_row.tolist() == want and got_ties == ties
             drawn += sum(len(t) > 1 for t in ties)
         assert drawn > 300
-        # One seed for the whole stack, and another stream label.
-        selections, _ = select_best_actions(rhat[:20], 4, "mle-tie")
+        # One seed for the whole stack.
+        selections, _ = select_best_actions(rhat[:20], 4)
         for r in range(20):
-            assert selections[r].tolist() == _select_oracle(rhat[r], 4, "mle-tie")[0]
+            assert selections[r].tolist() == _select_oracle(rhat[r], 4)[0]
 
 
 def _random_targets(rng, S, A, count):
@@ -626,9 +626,9 @@ class TestSelection:
                 assert selections[r].tolist() == _select_oracle(rhat[r], seed)[0]
 
     @pytest.mark.parametrize("ties", [5, 30])
-    def test_mle_select_draws_mle_tie_streams(self, ties):
-        """Fits pinned to the bound tie on equal features; their draws use the
-        "mle-tie" label, not "tie"."""
+    def test_mle_select_draws_the_shared_tie_streams(self, ties):
+        """Fits pinned to the bound tie on equal features; ``select_best_actions``
+        draws them from the same "tie" streams as the estimators' ties."""
         rng = np.random.default_rng(ties)
         theta = rng.normal(size=3)
         features = rng.normal(size=(40, 5, 3))
@@ -639,10 +639,24 @@ class TestSelection:
         rhat = features @ theta
         for seed in (0, 7, 2**64 - 1):
             got = mle_select(fit, features, seed).tolist()
-            assert got == _select_oracle(rhat, seed, "mle-tie")[0]
-            assert got == select_best_actions(rhat, seed, "mle-tie")[0].tolist()
+            assert got == _select_oracle(rhat, seed)[0]
+            assert got == select_best_actions(rhat, seed)[0].tolist()
         drawn = [mle_select(fit, features, seed) for seed in range(8)]
         assert any((a != drawn[0]).any() for a in drawn[1:])
+
+    def test_non_finite_estimate_is_refused_by_index(self):
+        nan, inf = float("nan"), float("inf")
+        for rhat, at in (([[0, nan, 1], [2, 1, 0]], r"\(0, 1\)"),
+                         ([[0, 1, 2], [inf, 1, 0]], r"\(1, 0\)"),
+                         ([[0, 1, -inf], [2, 1, 0]], r"\(0, 2\)"),
+                         ([[[0, 1], [2, 1]], [[1, 1], [nan, 0]]], r"\(1, 1, 0\)")):
+            with pytest.raises(ValidationError,
+                               match=rf"^rhat has a non-finite entry at index {at}$"):
+                select_best_actions(np.array(rhat), 0)
+        fit = MleFit(theta_hat=np.array([nan, 1.0]), log_likelihood=0.0, status="stalled",
+                     iterations=1)
+        with pytest.raises(ValidationError, match=r"index \(0, 0\)$"):
+            mle_select(fit, np.ones((2, 3, 2)))
 
     def test_t1_high_rate_selects_first(self, t1):
         table = build_weight_table(t1.schedule, t1.features)
@@ -675,14 +689,6 @@ class TestPipeline:
         b = rl_low(data, v.features, v.reward_bound, tie_seed=5)
         assert np.array_equal(a.rhat, b.rhat)
         assert np.array_equal(a.selections, b.selections)
-
-    def test_report_json_shape(self, paper_instance):
-        v = paper_instance
-        data = sample_dataset(v, 100, seed=22)
-        payload = rl_low(data, v.features, v.reward_bound).to_json_dict()
-        assert set(payload) == {"rhat", "selections", "tie_sets"}
-        assert len(payload["rhat"]) == 2 and len(payload["rhat"][0]) == 10
-        assert len(payload["selections"]) == 2
 
     def test_regret_decreases_with_more_data(self, paper_instance):
         from lowpref import simple_regret

@@ -19,6 +19,7 @@ from lowpref import (
     rl_low,
     rl_low_mdp,
     sample_dataset,
+    select_best_actions,
     stationary_distribution,
     suboptimality_gaps,
     validate_instance,
@@ -282,7 +283,7 @@ class TestPolicySearch:
         rhat[:, 3:5] = 1.0
         tied = list(itertools.product((3, 4), repeat=S))
         drawn = [mdp_policy_search(rhat, kernel, rho, tie_seed=seed) for seed in range(6)]
-        assert drawn == [tied[substream(seed, "policy-tie").integers(len(tied))]
+        assert drawn == [tied[substream(seed, "tie", 0).integers(len(tied))]
                          for seed in range(6)]
         assert len(set(drawn)) > 1
         # Past the cap the default search is refused, not run by iteration.
@@ -290,6 +291,38 @@ class TestPolicySearch:
         with pytest.raises(ValidationError, match="cap"):
             mdp_policy_search(np.zeros((S, 4)), self_loop_kernel(S, 4), np.full(S, 1 / S))
         assert 4**S > ENUMERATION_CAP
+
+    def test_seeded_ties_draw_through_select_best_actions(self):
+        """A seeded search picks the policy that ``select_best_actions`` picks
+        from the policy values as one row: self-loop kernels keep the
+        occupancy at rho, and planted equal best actions tie policies exactly."""
+        rng = np.random.default_rng(59)
+        drawn_later = 0
+        for S, A in ((1, 4), (2, 3), (3, 4), (4, 5)):
+            kernel, rho = self_loop_kernel(S, A), rng.dirichlet(np.ones(S))
+            for _ in range(4):
+                rhat = np.round(rng.normal(size=(S, A)), 1)
+                for k in range(S):
+                    rhat[k, rng.choice(A, size=int(rng.integers(1, A + 1)), replace=False)] = 1.0
+                policies, values = _policy_values(kernel, rhat, rho)
+                for seed in (0, 5, 2**64 - 1):
+                    pick = select_best_actions(values[None], seed)[0][0]
+                    drawn = mdp_policy_search(rhat, kernel, rho, tie_seed=seed)
+                    assert drawn == tuple(policies[pick].tolist())
+                    drawn_later += pick != np.argmax(values)
+        assert drawn_later > 0
+
+    def test_non_finite_estimate_is_refused_in_both_modes(self):
+        kernel = validate_kernel(np.full((2, 3, 2), 0.5), (2, 3))
+        rhat = np.array([[0.0, np.nan, 1.0], [2.0, 1.0, 0.0]])
+        for mode in ("enumerate", "iterate"):
+            for tie_seed in (None, 3):
+                with pytest.raises(ValidationError,
+                                   match=r"^rhat has a non-finite entry at index \(0, 1\)$"):
+                    mdp_policy_search(rhat, kernel, np.array([0.5, 0.5]), mode, tie_seed)
+        rhat[0, 1], rhat[1, 2] = 0.0, -np.inf
+        with pytest.raises(ValidationError, match=r"index \(1, 2\)$"):
+            mdp_policy_search(rhat, kernel, np.array([0.5, 0.5]))
 
     def test_enumerate_matches_policy_iteration(self):
         rng = np.random.default_rng(29)
@@ -377,7 +410,7 @@ def _check_enumeration(rng, base, kernel, decimals):
         for seed in range(4):
             drawn = mdp_policy_search(rhat, kernel, rho, "enumerate", tie_seed=seed)
             if len(tied) > 1:
-                assert drawn == tied[substream(seed, "policy-tie").integers(len(tied))]
+                assert drawn == tied[substream(seed, "tie", 0).integers(len(tied))]
             else:
                 assert drawn == expected
             drawn_later += drawn != expected
@@ -526,6 +559,16 @@ class TestPipelineReduction:
                     data, v.features, v.reward_bound, kernel, v.rho, tie_seed=rep
                 )
                 assert policy == tuple(int(a) for a in report.selections), name
+
+    def test_searches_the_estimates_of_rl_low(self, paper_instance):
+        v = paper_instance
+        kernel = validate_kernel(
+            np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 10)), (2, 10))
+        for rep in range(10):
+            data = sample_dataset(v, 400, seed=rep)
+            rhat = rl_low(data, v.features, v.reward_bound, tie_seed=rep).rhat
+            assert rl_low_mdp(data, v.features, v.reward_bound, kernel, v.rho, tie_seed=rep) \
+                == mdp_policy_search(rhat, kernel, v.rho, tie_seed=rep)
 
 
 class TestMdpHardness:
