@@ -7,12 +7,11 @@ identical data and paired comparisons are meaningful, while tie-breaking
 and noise streams are additionally keyed by the algorithm name.
 
 Identical configurations reproduce identical tables, except for the
-recorded wall-clock column, which is measurement, not output.  A
-``rl_low`` or ``dp_rl_low`` cell's ``wall_ms`` is its equal share of its
-(algorithm, n) batch: the seeds, win counts, noise, estimates, selections
-and regrets of all repetitions.  An ``mle`` or ``rl_low_mdp`` cell's is its
-own work (fit, or policy search and regret) plus that share.  The per-n
-sampling plan and weight table are built before the clock starts.
+recorded wall-clock column, which is measurement, not output.  Every
+cell's ``wall_ms`` is 1/R of its (algorithm, n) batch: the seeds, win
+counts, noise, estimates or fits, selections or policy searches, and
+regrets of all R repetitions.  The per-n sampling plan and weight table
+are built before the clock starts.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import fit_counts, mle_select
+from .baseline import fit_counts
 from .errors import ValidationError
 from .estimator import (
     SuccessRates,
@@ -109,25 +108,32 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultTable":
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text().splitlines()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
         if not lines or lines[0] != "algo,n,rep,seed,regret,wall_ms":
             raise ValidationError(f"unexpected results header in {path}")
         rows = []
-        for line in lines[1:]:
-            algo, n, rep, seed, regret, wall = line.split(",")
-            rows.append(
-                ResultRow(algo, int(n), int(rep), int(seed), float(regret), float(wall))
-            )
+        for at, line in enumerate(lines[1:], 2):
+            try:
+                algo, n, rep, seed, regret, wall = line.split(",")
+                row = ResultRow(algo, int(n), int(rep), int(seed), float(regret), float(wall))
+            except ValueError:
+                raise ValidationError(f"{path} line {at} is not a results row: {line!r}") from None
+            rows.append(row)
         return cls(rows=rows)
 
 
 def simple_regret(v: Instance, selections):
     """State-law-weighted reward shortfall of the selected actions: a float
     for (S,) selections, an array over the leading axes for a stack (..., S).
-    Refuses a trailing length other than S and an action outside [0, A)."""
-    idx, S, A = np.asarray(selections, dtype=np.int64), v.num_states, v.num_actions
-    if idx.shape[-1:] != (S,):
-        raise ValidationError(f"selections of shape {idx.shape} do not fit S = {S}")
+    Refuses a non-integer dtype, a trailing length other than S and an action
+    outside [0, A)."""
+    idx, S, A = np.asarray(selections), v.num_states, v.num_actions
+    if idx.dtype.kind not in "iu" or idx.shape[-1:] != (S,):
+        raise ValidationError(f"selections of shape {idx.shape} and dtype {idx.dtype} "
+                              f"do not fit S = {S}")
     if idx.size and not 0 <= idx.min() <= idx.max() < A:
         at = tuple(int(x) for x in np.argwhere((idx < 0) | (idx >= A))[0])
         raise ValidationError(f"selection {idx[at]} at index {at} is outside the "
@@ -211,14 +217,12 @@ def _resolve_instance(cfg: ExperimentConfig) -> Instance:
 
 
 def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
-    """The repetitions of one (algorithm, n).
+    """The repetitions of one (algorithm, n), every step run once on their stack.
 
-    Every algorithm shares one sampling plan: per-pair record counts are
-    deterministic ceilings, so only the winners vary between repetitions,
-    and all repetitions' win counts are drawn in one batch.  The rates
-    algorithms share one empirical schedule and weight table, and every step
-    up to the regret runs once on the stack of all repetitions; ``mle`` fits
-    each repetition's row of win counts.
+    Per-pair record counts are deterministic ceilings, so only the winners
+    vary between repetitions, and the rates algorithms share one schedule
+    and weight table.  Two steps go row by row: ``mle`` fits, each its own
+    Newton loop, and ``rl_low_mdp`` policy searches, each over A^S values.
     """
     pairs, counts, p_first = sampling_plan(v, n)
     if algo != "mle":
@@ -231,32 +235,26 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie")
     wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
     won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
-    if algo != "mle":
+    if algo == "mle":
+        scores = np.stack([v.features @ fit_counts(pairs, counts, row, v.features,
+                                                   v.reward_bound).theta_hat for row in won])
+    else:
         rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
             rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])
-        rhat = estimate_relative_rewards(rates, table, v.features)
-        if algo != "rl_low_mdp":  # rl_low_mdp searches policies instead
-            regrets = simple_regret(v, select_best_actions(rhat, tie_seeds)[0]).tolist()
-    data_seeds, tie_seeds = data_seeds.tolist(), tie_seeds.tolist()
-    share_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
-    walls = [share_ms] * cfg.repetitions
-    if algo in ("mle", "rl_low_mdp"):
-        regrets = []
-        for rep in range(cfg.repetitions):
-            start = time.perf_counter()
-            if algo == "mle":
-                fit = fit_counts(pairs, counts, won[rep], v.features, v.reward_bound)
-                regret = simple_regret(v, mle_select(fit, v.features, tie_seeds[rep]))
-            else:
-                policy = mdp_policy_search(rhat[rep], kernel, v.rho, tie_seed=tie_seeds[rep])
-                regret = mdp_regret(v, kernel, policy)
-            regrets.append(regret)
-            walls[rep] += (time.perf_counter() - start) * 1000.0
+        scores = estimate_relative_rewards(rates, table, v.features)
+    if algo == "rl_low_mdp":
+        policies = [mdp_policy_search(row, kernel, v.rho, tie_seed=seed)
+                    for row, seed in zip(scores, tie_seeds.tolist())]
+        regrets = mdp_regret(v, kernel, np.array(policies))
+    else:
+        regrets = simple_regret(v, select_best_actions(scores, tie_seeds)[0])
+    data_seeds, regrets = data_seeds.tolist(), regrets.tolist()
+    wall_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
     return [
-        ResultRow(algo=algo, n=n, rep=rep, seed=seed, regret=regret, wall_ms=wall)
-        for rep, (seed, regret, wall) in enumerate(zip(data_seeds, regrets, walls))
+        ResultRow(algo=algo, n=n, rep=rep, seed=seed, regret=regret, wall_ms=wall_ms)
+        for rep, (seed, regret) in enumerate(zip(data_seeds, regrets))
     ]
 
 

@@ -247,12 +247,14 @@ def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, 
     return policies, values, best
 
 
-def mdp_regret(v: Instance, kernel: TransitionKernel, policy: Policy) -> float:
-    """Occupancy-weighted reward shortfall of a policy against the optimum."""
+def mdp_regret(v: Instance, kernel: TransitionKernel, policy):
+    """Occupancy-weighted reward shortfall against the optimum: a float for one
+    policy (S,), an array for policy rows (R, S), which share one optimum."""
     _, values, best = _optimal_policy(v, kernel)
-    policy = _policy_rows(kernel, policy, v.rho)
-    index = np.ravel_multi_index(policy, (v.num_actions,) * v.num_states)
-    return max(float(values[best] - values[index]), 0.0)
+    rows = _policy_rows(kernel, policy, v.rho)
+    index = np.ravel_multi_index(rows.T, (v.num_actions,) * v.num_states)
+    regret = np.maximum(values[best] - values[index], 0.0)
+    return float(regret) if regret.ndim == 0 else regret
 
 
 def rl_low_mdp(

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ class TestSimpleRegret:
     def test_selections_of_the_wrong_length_are_refused(self, paper_instance):
         for selections in ([0], [0, 0, 0], np.zeros((5, 1), dtype=np.int64), 0):
             with pytest.raises(ValidationError, match="do not fit S = 2$"):
+                simple_regret(paper_instance, selections)
+
+    def test_non_integer_selections_are_refused_by_dtype(self, paper_instance):
+        # [0.9, 1.5] would truncate to [0, 1] and True/False to 1/0.
+        for selections, dtype in (([0.9, 1.5], "float64"), ([True, False], "bool"),
+                                  (np.zeros((3, 2), dtype=np.float32), "float32")):
+            with pytest.raises(ValidationError, match=rf"dtype {dtype} do not fit S = 2$"):
                 simple_regret(paper_instance, selections)
 
 
@@ -221,31 +229,32 @@ class TestRunExperiment:
                 assert simple_regret(v, selections) == row.regret, (row.algo, row.n, row.rep)
 
     def test_one_batch_per_algorithm_and_n(self, tmp_path, monkeypatch):
-        """The rates algorithms estimate, select and score all repetitions of
-        an (algorithm, n) in one call each; rl_low_mdp skips the static
-        selection, and mle builds no weight table."""
+        """Every algorithm selects and scores all repetitions of an (algorithm,
+        n) in one call each: the rates algorithms estimate them in one call too,
+        mle builds no weight table, and rl_low_mdp scores its policy rows in one
+        ``mdp_regret`` call instead of a static selection."""
         P = np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 4))
         kernel_path = tmp_path / "kernel.json"
         kernel_path.write_text(json.dumps({"P": P.tolist()}))
         calls = {}
         for name in ("build_weight_table", "estimate_relative_rewards",
-                     "select_best_actions", "simple_regret"):
+                     "select_best_actions", "simple_regret", "mdp_regret"):
             def counted(*args, _real=getattr(bench, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(bench, name, counted)
         for algo, want in (
-            ("rl_low", (2, 2, 2, 2)),
-            ("dp_rl_low", (2, 2, 2, 2)),
-            ("rl_low_mdp", (2, 2, 0, 0)),
-            ("mle", (0, 0, 0, 8)),
+            ("rl_low", (2, 2, 2, 2, 0)),
+            ("dp_rl_low", (2, 2, 2, 2, 0)),
+            ("rl_low_mdp", (2, 2, 0, 0, 2)),
+            ("mle", (0, 0, 2, 2, 0)),
         ):
             calls.clear()
             run_experiment(small_config(algorithms=(algo,), kernel_path=str(kernel_path),
                                         privacy=PrivacyParams(0.9, 0.2)))
             got = tuple(calls.get(name, 0) for name in (
                 "build_weight_table", "estimate_relative_rewards",
-                "select_best_actions", "simple_regret"))
+                "select_best_actions", "simple_regret", "mdp_regret"))
             assert got == want, algo
 
     def test_exact_binomial_oracle_at_small_scale(self, t1_path):
@@ -316,6 +325,19 @@ class TestOutputs:
         paths = emit_outputs(summarize(table), table, cfg)
         loaded = ResultTable.from_csv(paths["results"])
         assert loaded.rows == table.rows
+
+    def test_malformed_results_are_refused_by_file_and_line(self, tmp_path):
+        path = tmp_path / "results.csv"
+        header, good = "algo,n,rep,seed,regret,wall_ms\n", "rl_low,20,0,5,0.25,1.5\n"
+        for body, line in (("rl_low,20,0,5,0.25\n", 2), (good + "rl_low,20,1,5,abc,1.5\n", 3)):
+            path.write_text(header + body)
+            with pytest.raises(ValidationError,
+                               match=rf"^{re.escape(str(path))} line {line} is not a results row"):
+                ResultTable.from_csv(path)
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ValidationError,
+                           match=rf"^cannot read {re.escape(str(missing))}: No such file"):
+            ResultTable.from_csv(missing)
 
     def test_csv_header(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "out"))

@@ -533,6 +533,26 @@ class TestMdpRegret:
             float(t2.rho[0] * gaps[0, 1]), abs=1e-12
         )
 
+    def test_policy_rows_match_single_calls(self, paper_instance):
+        """Policy rows (R, S) share one optimum and keep the bits of their own
+        (S,) calls; the optimum's row scores 0.0 and a bad row is refused by name."""
+        v = paper_instance
+        dirichlet = validate_kernel(
+            np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 10)), (2, 10))
+        for kernel in (dirichlet, self_loop_kernel(2, 10)):
+            best = mdp_policy_search(v.rewards(), kernel, v.rho)
+            rows = np.vstack([np.random.default_rng(5).integers(10, size=(40, 2)), best])
+            stacked = mdp_regret(v, kernel, rows)
+            assert stacked.shape == (41,) and stacked[-1] == 0.0
+            singles = [mdp_regret(v, kernel, tuple(row)) for row in rows.tolist()]
+            assert all(isinstance(x, float) for x in singles)
+            assert [x.hex() for x in stacked.tolist()] == [x.hex() for x in singles]
+            assert mdp_regret(v, kernel, rows[:1]).shape == (1,)
+            rows[7] = (0, 10)
+            with pytest.raises(ValidationError,
+                               match=r"^policy row 7 \(0, 10\) does not fit \(S, A\) \(2, 10\)$"):
+                mdp_regret(v, kernel, rows)
+
     def test_non_unique_optimum_rejected(self, t2):
         # Every action leads to state 0, so state 1's choice is irrelevant
         # and two policies tie exactly.
