@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimator import _tally, select_best_actions
+from .estimator import select_best_actions
+from .instances import PreferenceDataset
 
 MAX_ITERATIONS = 500
 DECREMENT_RTOL = 1e-15
@@ -103,23 +104,12 @@ def _max_feasible_step(
     return max(t_max, 0.0)
 
 
-def mle_fit(data, features: np.ndarray, L: float) -> MleFit:
-    """Constrained logistic MLE over the latent parameter.
-
-    Counts the dataset's records per observed pair (``estimator._tally``)
-    and fits on the counts; see ``fit_counts`` and the module docstring for
-    the stop rule and the statuses.
-    """
-    counts, wins, rates = _tally(data, features.shape[:2], L)
-    at = tuple(rates.pairs.T)
-    return fit_counts(rates.pairs, counts[at], wins[at], features, L)
-
-
-def fit_counts(
-    pairs: np.ndarray, counts: np.ndarray, wins: np.ndarray, features: np.ndarray, L: float
-) -> MleFit:
-    """The fit on per-pair counts: pairs (m, 3) as (k, i, j), their record
-    counts (m,) and the wins of action i (m,)."""
+def mle_fit(data: PreferenceDataset, features: np.ndarray, L: float) -> MleFit:
+    """Constrained logistic MLE over the latent parameter, fitted on the
+    dataset's per-pair counts and wins; see the module docstring for the stop
+    rule and the statuses."""
+    data.check_dims(features.shape[:2])
+    pairs, counts, wins = data.pairs, data.counts, data.wins
     if len(pairs) == 0:
         raise ValidationError("cannot fit on an empty dataset")
     x = features[pairs[:, 0], pairs[:, 1]] - features[pairs[:, 0], pairs[:, 2]]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import fit_counts
+from .baseline import mle_fit
 from .errors import ValidationError
 from .estimator import (
     SuccessRates,
@@ -35,6 +35,7 @@ from .estimator import (
 from .instances import (
     GeneratorConfig,
     Instance,
+    PreferenceDataset,
     load_instance,
     make_paper_instance,
     read_json,
@@ -121,6 +122,15 @@ class ResultTable:
                 row = ResultRow(algo, int(n), int(rep), int(seed), float(regret), float(wall))
             except ValueError:
                 raise ValidationError(f"{path} line {at} is not a results row: {line!r}") from None
+            for bad, reason in (
+                (algo not in ALGORITHMS, f"algorithm {algo!r} is unknown"),
+                (row.n < 1, f"n = {row.n} is below 1"),
+                (row.rep < 0, f"rep = {row.rep} is negative"),
+                (not math.isfinite(row.regret), f"regret {row.regret} is not finite"),
+                (not 0 <= row.wall_ms < math.inf, f"wall_ms {wall} is not finite and non-negative"),
+            ):
+                if bad:
+                    raise ValidationError(f"{path} line {at}: {reason}")
             rows.append(row)
         return cls(rows=rows)
 
@@ -236,8 +246,9 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
     won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
     if algo == "mle":
-        scores = np.stack([v.features @ fit_counts(pairs, counts, row, v.features,
-                                                   v.reward_bound).theta_hat for row in won])
+        scores = np.stack([v.features @ mle_fit(PreferenceDataset(pairs, counts, row, n),
+                                                v.features, v.reward_bound).theta_hat
+                           for row in won])
     else:
         rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
@@ -302,19 +313,12 @@ def _svg_plot(summary: list[dict]) -> str:
     +-1 std band."""
     width, height = 640, 420
     left, right, top, bottom = 70, 20, 20, 50
-    algos = []
-    for entry in summary:
-        if entry["algo"] not in algos:
-            algos.append(entry["algo"])
+    algos = list(dict.fromkeys(entry["algo"] for entry in summary))
     ns = sorted({entry["n"] for entry in summary})
-    positive = [
-        max(entry["mean"] - entry["std"], 0.0) for entry in summary
-    ] + [entry["mean"] for entry in summary]
+    positive = [max(e["mean"] - e["std"], 0.0) for e in summary] + [e["mean"] for e in summary]
     positive = [p for p in positive if p > 0]
     floor = min(positive) / 10 if positive else 1e-12
-    top_val = max(
-        [entry["mean"] + entry["std"] for entry in summary] + [floor * 10]
-    )
+    top_val = max([entry["mean"] + entry["std"] for entry in summary] + [floor * 10])
     lo_log, hi_log = math.floor(math.log10(floor)), math.ceil(math.log10(top_val))
     if hi_log == lo_log:
         hi_log += 1
@@ -335,49 +339,29 @@ def _svg_plot(summary: list[dict]) -> str:
     ]
     for exp in range(lo_log, hi_log + 1):
         y = sy(10.0**exp)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
-            f'stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="11">1e{exp}</text>'
-        )
+        parts += [f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
+                  f'stroke="#dddddd"/>',
+                  f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
+                  f'font-size="11">1e{exp}</text>']
     for n in ns:
         x = sx(n)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{height - bottom}" '
-            f'stroke="#eeeeee"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-            f'font-size="11">{n}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 12}" '
-        f'text-anchor="middle" font-size="12">sample size n</text>'
-    )
+        parts += [f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{height - bottom}" '
+                  f'stroke="#eeeeee"/>',
+                  f'<text x="{x:.2f}" y="{height - bottom + 16}" text-anchor="middle" '
+                  f'font-size="11">{n}</text>']
+    parts.append(f'<text x="{(left + width - right) / 2:.2f}" y="{height - 12}" '
+                 f'text-anchor="middle" font-size="12">sample size n</text>')
     for idx, algo in enumerate(algos):
         color = palette[idx % len(palette)]
-        entries = sorted(
-            (e for e in summary if e["algo"] == algo), key=lambda e: e["n"]
-        )
+        entries = sorted((e for e in summary if e["algo"] == algo), key=lambda e: e["n"])
         upper = [(sx(e["n"]), sy(e["mean"] + e["std"])) for e in entries]
         lower = [(sx(e["n"]), sy(max(e["mean"] - e["std"], floor))) for e in entries]
         band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower[::-1])
-        parts.append(
-            f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" '
-            f'stroke="none"/>'
-        )
         line = " ".join(f'{sx(e["n"]):.2f},{sy(e["mean"]):.2f}' for e in entries)
-        parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{width - right - 4}" y="{top + 16 + 14 * idx}" '
-            f'text-anchor="end" font-size="12" fill="{color}">{algo}</text>'
-        )
+        parts += [f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>',
+                  f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>',
+                  f'<text x="{width - right - 4}" y="{top + 16 + 14 * idx}" '
+                  f'text-anchor="end" font-size="12" fill="{color}">{algo}</text>']
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -37,9 +37,9 @@ from .instances import (
     SPAN_RTOL,
     PreferenceDataset,
     check_finite,
+    empirical_proportions,
     observed_differences,
     outside_span,
-    pair_index,
     span_rows,
     span_witness,
 )
@@ -157,18 +157,6 @@ def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
     return np.minimum(np.maximum(values, lo), hi)
 
 
-def _tally(data: PreferenceDataset, dims: tuple[int, int], L: float):
-    """Records and first-action wins per (k, i, j) as (S, A, A), and the
-    success rates they give."""
-    S, A = dims
-    flat = pair_index(data, dims)
-    counts = np.bincount(flat, minlength=S * A * A).reshape(S, A, A)
-    wins = np.bincount(flat, weights=data.records[:, 3], minlength=S * A * A).reshape(S, A, A)
-    pairs = np.argwhere(counts > 0)
-    at = (pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    return counts, wins, SuccessRates.of(pairs, wins[at] / counts[at], L)
-
-
 def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> SuccessRates:
     """Per-pair win rates of the lower-indexed action, with clipping.
 
@@ -176,10 +164,9 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     design schedule of an instance is an error because the rates divide by
     realised counts.
     """
-    counts, _, rates = _tally(data, schedule.shape[:2], L)
-    if not np.array_equal(schedule, counts / data.n):
+    if not np.array_equal(schedule, empirical_proportions(data, schedule.shape[:2])):
         raise ValidationError("schedule does not match the dataset's proportions")
-    return rates
+    return SuccessRates.of(data.pairs, data.wins / data.counts, L)
 
 
 def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -338,8 +325,8 @@ def dataset_inputs(
     Refuses datasets whose empirical schedule leaves some pairwise feature
     difference outside the observed span, reporting the offending triple.
     """
-    counts, _, rates = _tally(data, features.shape[:2], L)
-    schedule = counts / data.n
+    schedule = empirical_proportions(data, features.shape[:2])
+    rates = SuccessRates.of(data.pairs, data.wins / data.counts, L)
     return schedule, rates, build_weight_table(schedule, features)
 
 

@@ -7,9 +7,11 @@ the parameter vector.  Preference labels follow the Bradley-Terry-Luce
 model: when actions ``i < j`` are compared, the lower-indexed action wins
 with probability ``sigmoid(r_i - r_j)``.
 
-Comparisons are canonicalised so that every record stores the ordered pair
-``(first, second)`` with ``first < second`` plus a ``winner_is_first`` bit.
-The schedule tensor is nonzero only on ordered pairs ``i < j``.
+A comparison record is canonicalised as (state, first, second,
+``winner_is_first``) with ``first < second``.  A ``PreferenceDataset`` keeps
+only each observed pair's record count and first-action wins, the statistics
+the estimators read, tallied once from the records when a CSV is loaded.  The
+schedule tensor is nonzero only on ordered pairs ``i < j``.
 """
 
 from __future__ import annotations
@@ -72,31 +74,74 @@ class Instance:
 
 @dataclass(frozen=True)
 class PreferenceDataset:
-    """Canonicalised comparison records plus the nominal sample size.
-
-    ``records`` has one row per comparison: (state, first, second,
-    winner_is_first) with first < second.  ``n`` is the nominal size the
-    dataset was drawn for; the realised row count may exceed it because
-    per-pair counts are rounded up.
+    """Each observed (state, first < second) once, in ``np.argwhere`` order, with
+    its record count and first-action wins.  ``n`` is the nominal size drawn
+    for; the record total may exceed it, as per-pair counts are rounded up.
     """
 
-    records: np.ndarray  # (m, 4) int64
+    pairs: np.ndarray  # (m, 3) int64
+    counts: np.ndarray  # (m,) int64
+    wins: np.ndarray  # (m,) int64
     n: int
 
     def __post_init__(self):
-        rec = np.array(self.records, dtype=np.int64, copy=True).reshape(-1, 4)
-        rec.flags.writeable = False
-        object.__setattr__(self, "records", rec)
         if self.n < 1:
             raise ValidationError("dataset size n must be >= 1")
-        if rec.shape[0] and not np.all(rec[:, 1] < rec[:, 2]):
-            raise ValidationError("records must satisfy first < second")
+        for name in ("pairs", "counts", "wins"):
+            values = np.asarray(getattr(self, name))
+            if values.size and not np.issubdtype(values.dtype, np.integer):
+                raise ValidationError(f"dataset {name} must be integers, not {values.dtype}")
+            object.__setattr__(self, name, np.array(values, dtype=np.int64))
+            getattr(self, name).flags.writeable = False
+        pairs, counts, wins = self.pairs, self.counts, self.wins
+        if counts.ndim != 1 or pairs.shape != (len(counts), 3) or wins.shape != counts.shape:
+            raise ValidationError(f"dataset pairs {pairs.shape}, counts {counts.shape} and "
+                                  f"wins {wins.shape} are not shaped (m, 3), (m,), (m,)")
+        step = np.diff(pairs, axis=0)  # the first nonzero step of sorted pairs is positive
+        lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        for bad, reason in ((pairs[:, 0] < 0, "state index {0} is negative"),
+                            (pairs[:, 1] < 0, "action index {1} is negative"),
+                            (pairs[:, 1] >= pairs[:, 2], "first {1} is not below second {2}"),
+                            (np.insert(lead <= 0, 0, False), "pairs are not sorted and distinct"),
+                            (counts < 1, "count {3} is below 1"),
+                            ((wins < 0) | (wins > counts), "wins {4} lie outside [0, {3}]")):
+            if bad.any():
+                p = int(np.argmax(bad))
+                row = [*pairs[p].tolist(), int(counts[p]), int(wins[p])]
+                raise ValidationError(f"dataset pair {p} {tuple(row[:3])}: " + reason.format(*row))
+
+    @classmethod
+    def from_records(cls, records, n: int) -> "PreferenceDataset":
+        """Tally (state, first, second, winner_is_first) rows, in any order; a row
+        with first >= second or a winner bit other than 0/1 is refused by index."""
+        rec = np.asarray(records, dtype=np.int64).reshape(-1, 4)
         bits = rec[:, 3]
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            row = int(np.flatnonzero((bits < 0) | (bits > 1))[0])
-            raise ValidationError(
-                f"record {row}: winner_is_first is {bits[row]}, must be 0 or 1"
-            )
+        for bad, reason in ((rec[:, 1] >= rec[:, 2], "first {1} is not below second {2}"),
+                            ((bits < 0) | (bits > 1), "winner_is_first is {3}, must be 0 or 1")):
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValidationError(f"record {row}: " + reason.format(*rec[row].tolist()))
+        pairs, inverse, counts = np.unique(rec[:, :3], axis=0, return_inverse=True,
+                                           return_counts=True)
+        wins = np.bincount(inverse.reshape(-1)[bits == 1], minlength=len(counts))
+        return cls(pairs, counts, wins, n)
+
+    @cached_property
+    def records(self) -> np.ndarray:
+        """Read-only rows (state, first, second, winner_is_first), one per record,
+        pair by pair in pair order, each pair's wins first."""
+        rows = np.repeat(np.column_stack([self.pairs, self.counts]), self.counts, axis=0)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(self.counts) - self.counts, self.counts)
+        rows[:, 3] = rank < np.repeat(self.wins, self.counts)
+        rows.flags.writeable = False
+        return rows
+
+    def check_dims(self, dims: tuple[int, int]) -> None:
+        """Refuse a state or action index outside (S, A) = ``dims``."""
+        if self.pairs[:, 0].max(initial=0) >= dims[0]:
+            raise ValidationError(f"dataset state index out of range for S = {dims[0]}")
+        if self.pairs[:, 2].max(initial=0) >= dims[1]:
+            raise ValidationError(f"dataset action index out of range for A = {dims[1]}")
 
 
 @dataclass(frozen=True)
@@ -352,33 +397,21 @@ def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:
     Record counts and win probabilities come from ``sampling_plan``; the
     winners are independent Bernoulli draws from ``sample_winners``, whose
     streams are derived per (seed, k, i, j) so the draw is reproducible and
-    order-independent.
+    order-independent, and each pair's draws are summed to its wins.
     """
     pairs, counts, p_first = sampling_plan(v, n)
-    wins = sample_winners(pairs, counts, p_first, seed)
-    # Whole (m, 4) rows repeat faster than columns repeated and then stacked.
-    template = np.zeros((len(pairs), 4), dtype=np.int64)
-    template[:, :3] = pairs
-    records = np.repeat(template, counts, axis=0)
-    records[:, 3] = wins
-    return PreferenceDataset(records=records, n=n)
-
-
-def pair_index(data: PreferenceDataset, dims: tuple[int, int]) -> np.ndarray:
-    """Flat (S, A, A) index of each record's (k, i, j); refuses indices out of range."""
-    S, A = dims
-    rec = data.records
-    if rec[:, 0].min(initial=0) < 0 or rec[:, 0].max(initial=0) >= S:
-        raise ValidationError("record state index out of range")
-    if rec[:, 1].min(initial=0) < 0 or rec[:, 2].max(initial=0) >= A:
-        raise ValidationError("record action index out of range")
-    return (rec[:, 0] * A + rec[:, 1]) * A + rec[:, 2]
+    won = sample_winners(pairs, counts, p_first, seed)
+    wins = np.add.reduceat(won, np.cumsum(counts) - counts, dtype=np.int64)
+    return PreferenceDataset(pairs, counts, wins, n)
 
 
 def empirical_proportions(data: PreferenceDataset, dims: tuple[int, int]) -> np.ndarray:
-    """Per-(k, i < j) share of records, measured against the nominal size."""
-    S, A = dims
-    return np.bincount(pair_index(data, dims), minlength=S * A * A).reshape(S, A, A) / data.n
+    """Per-(k, i < j) share of records as (S, A, A), measured against the
+    nominal size; refuses a state or action index outside ``dims``."""
+    data.check_dims(dims)
+    schedule = np.zeros((dims[0], dims[1], dims[1]))
+    schedule[tuple(data.pairs.T)] = data.counts / data.n
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -460,5 +493,4 @@ def load_dataset(path: str | Path) -> PreferenceDataset:
             rows = [_record(path, line, row) for line, row in enumerate(reader, 2) if row]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    records = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-    return PreferenceDataset(records=records, n=max(len(rows), 1))
+    return PreferenceDataset.from_records(rows, n=max(len(rows), 1))

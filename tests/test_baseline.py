@@ -19,7 +19,7 @@ from conftest import mle_gradient, mle_log_likelihood, random_consistent_instanc
 
 def records_on_t1(wins, losses):
     rows = [[0, 0, 1, 1]] * wins + [[0, 0, 1, 0]] * losses
-    return PreferenceDataset(records=np.asarray(rows), n=wins + losses)
+    return PreferenceDataset.from_records(np.asarray(rows), n=wins + losses)
 
 
 class TestFit:
@@ -92,7 +92,7 @@ class TestFit:
         assert close >= 0.95 * 200
 
     def test_empty_dataset_rejected(self, t1):
-        empty = PreferenceDataset(records=np.zeros((0, 4), dtype=np.int64), n=1)
+        empty = PreferenceDataset.from_records(np.zeros((0, 4), dtype=np.int64), n=1)
         with pytest.raises(ValidationError):
             mle_fit(empty, t1.features, L=1.0)
 

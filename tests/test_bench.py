@@ -339,6 +339,22 @@ class TestOutputs:
                            match=rf"^cannot read {re.escape(str(missing))}: No such file"):
             ResultTable.from_csv(missing)
 
+    @pytest.mark.parametrize("row, reason", [
+        ("rl_low,20,0,5,nan,1.5", "regret nan is not finite"),
+        ("rl_low,20,0,5,-inf,1.5", "regret -inf is not finite"),
+        ("bogus,20,0,5,0.25,1.5", "algorithm 'bogus' is unknown"),
+        ("mle,0,0,5,0.25,1.5", "n = 0 is below 1"),
+        ("mle,20,-1,5,0.25,1.5", "rep = -1 is negative"),
+        ("rl_low,20,0,5,0.25,-0.5", "wall_ms -0.5 is not finite and non-negative"),
+        ("rl_low,20,0,5,0.25,inf", "wall_ms inf is not finite and non-negative"),
+        ("rl_low,20,0,5,0.25,nan", "wall_ms nan is not finite and non-negative"),
+    ])
+    def test_out_of_range_results_are_refused_by_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "results.csv"
+        path.write_text("algo,n,rep,seed,regret,wall_ms\nrl_low,20,0,5,0.25,1.5\n" + row + "\n")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path} line 3: {reason}')}$"):
+            ResultTable.from_csv(path)
+
     def test_csv_header(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "out"))
         table = run_experiment(cfg)

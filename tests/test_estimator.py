@@ -68,7 +68,7 @@ class TestClip:
 class TestSuccessRates:
     def test_counting(self, t1):
         records = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 1, 0]])
-        data = PreferenceDataset(records=records, n=3)
+        data = PreferenceDataset.from_records(records, n=3)
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, L=1.0)
         assert rates.pairs.tolist() == [[0, 0, 1]]
@@ -90,7 +90,7 @@ class TestSuccessRates:
 
     def test_all_wins_clipped(self, t1):
         records = np.tile([0, 0, 1, 1], (5, 1))
-        data = PreferenceDataset(records=records, n=5)
+        data = PreferenceDataset.from_records(records, n=5)
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, L=1.0)
         assert rates.clipped[0] == pytest.approx(math.exp(2) / (1 + math.exp(2)))
@@ -101,8 +101,8 @@ class TestSuccessRates:
             success_rates(data, t1.schedule * 0.5, L=1.0)
 
     def test_dataset_inputs_match_public_composition(self, paper_instance, t1):
-        # dataset_inputs counts the records once; its schedule and rates must
-        # be the bytes of empirical_proportions followed by success_rates.
+        # dataset_inputs reads the per-pair counts once; its schedule and rates
+        # must be the bytes of empirical_proportions followed by success_rates.
         rng = np.random.default_rng(31)
         instances = [paper_instance, t1] + [
             random_consistent_instance(rng, s_max=4, a_max=6) for _ in range(20)
@@ -127,10 +127,14 @@ class TestSuccessRates:
          ([0, 0, 2, 1], "action index")],
     )
     def test_out_of_range_records_refused(self, t1, record, reason):
-        data = PreferenceDataset(records=np.array([[0, 0, 1, 1], record]), n=2)
+        # A negative index is refused as the records are tallied, an index
+        # past the instance's (S, A) when the dataset meets the instance.
+        def data():
+            return PreferenceDataset.from_records(np.array([[0, 0, 1, 1], record]), n=2)
+
         for call in (
-            lambda: empirical_proportions(data, (1, 2)),
-            lambda: rl_low(data, t1.features, t1.reward_bound),
+            lambda: empirical_proportions(data(), (1, 2)),
+            lambda: rl_low(data(), t1.features, t1.reward_bound),
         ):
             with pytest.raises(ValidationError, match=reason):
                 call()
@@ -302,7 +306,7 @@ class TestEstimates:
 
     def test_all_wins_reaches_twice_bound(self, t1):
         records = np.tile([0, 0, 1, 1], (8, 1))
-        data = PreferenceDataset(records=records, n=8)
+        data = PreferenceDataset.from_records(records, n=8)
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, L=1.0)
         table = build_weight_table(schedule, t1.features)
@@ -677,7 +681,7 @@ class TestPipeline:
 
     def test_inconsistent_dataset_refused(self, tri):
         records = np.array([[0, 0, 1, 1], [0, 0, 1, 0]])
-        data = PreferenceDataset(records=records, n=2)
+        data = PreferenceDataset.from_records(records, n=2)
         with pytest.raises(InconsistencyError) as err:
             rl_low(data, tri.features, tri.reward_bound)
         assert err.value.witness is not None

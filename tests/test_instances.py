@@ -12,17 +12,23 @@ from hypothesis.extra import numpy as hnp
 from lowpref import (
     GeneratorConfig,
     PreferenceDataset,
+    PrivacyParams,
     ValidationError,
+    dp_rl_low,
     empirical_proportions,
     load_dataset,
     load_instance,
     make_instance,
     make_paper_instance,
+    mle_fit,
+    rl_low,
+    rl_low_mdp,
     sample_dataset,
     save_dataset,
     save_instance,
     suboptimality_gaps,
     validate_instance,
+    validate_kernel,
 )
 from lowpref.instances import (
     consistency_witness,
@@ -360,7 +366,7 @@ class TestProportions:
         records = np.array(
             [[0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 2, 0]]
         )
-        data = PreferenceDataset(records=records, n=4)
+        data = PreferenceDataset.from_records(records, n=4)
         props = empirical_proportions(data, (1, 3))
         assert props[0, 0, 1] == 0.75
         assert props[0, 0, 2] == 0.25
@@ -380,7 +386,7 @@ class TestProportions:
         assert len(data.records) == int(round(props.sum() * n))
 
     def test_out_of_range_rejected(self):
-        data = PreferenceDataset(records=np.array([[0, 0, 5, 1]]), n=1)
+        data = PreferenceDataset.from_records(np.array([[0, 0, 5, 1]]), n=1)
         with pytest.raises(ValidationError):
             empirical_proportions(data, (1, 3))
 
@@ -388,7 +394,7 @@ class TestProportions:
     def test_winner_bit_outside_zero_one_rejected(self, bit):
         records = np.array([[0, 0, 1, 1], [0, 0, 1, bit]])
         with pytest.raises(ValidationError, match="record 1: winner_is_first"):
-            PreferenceDataset(records=records, n=2)
+            PreferenceDataset.from_records(records, n=2)
 
 
 class TestFiles:
@@ -422,3 +428,93 @@ class TestFiles:
         path.write_text(json.dumps({"S": 1, "A": 2}))
         with pytest.raises(ValidationError):
             load_instance(path)
+
+
+class TestPerPairDataset:
+    """The dataset holds per-pair counts and wins, tallied once from records."""
+
+    @pytest.mark.parametrize("pairs, counts, wins, n, reason", [
+        ([[0, 0, 1]], [2], [1], 0, "n must be >= 1"),
+        ([[0, 0, 1]], [2.0], [1], 2, "counts must be integers"),
+        ([[0, 0, 1], [0, 0, 2]], [2], [1], 2, "not shaped"),
+        ([[0, 0, 1]], [2], [1, 0], 2, "not shaped"),
+        ([0, 0, 1], [2], [1], 2, "not shaped"),
+        ([[0, 0, 1], [-1, 0, 1]], [2, 2], [1, 1], 2, r"pair 1 \(-1, 0, 1\): state index -1"),
+        ([[0, -1, 1]], [2], [1], 2, r"pair 0 \(0, -1, 1\): action index -1 is negative"),
+        ([[0, 1, 1]], [2], [1], 2, r"pair 0 \(0, 1, 1\): first 1 is not below second 1"),
+        ([[0, 2, 3], [0, 1, 2]], [2, 2], [1, 1], 2, r"pair 1 \(0, 1, 2\): pairs are not sorted"),
+        ([[1, 0, 1], [0, 0, 2]], [2, 2], [1, 1], 2, r"pair 1 \(0, 0, 2\): pairs are not sorted"),
+        ([[0, 0, 1], [0, 0, 1]], [2, 2], [1, 1], 2, r"pair 1 \(0, 0, 1\): pairs are not sorted"),
+        ([[0, 0, 1]], [0], [0], 2, r"pair 0 \(0, 0, 1\): count 0 is below 1"),
+        ([[0, 0, 1]], [2], [-1], 2, r"pair 0 \(0, 0, 1\): wins -1 lie outside \[0, 2\]"),
+        ([[0, 0, 1]], [2], [3], 2, r"pair 0 \(0, 0, 1\): wins 3 lie outside \[0, 2\]"),
+    ])
+    def test_constructor_refusals(self, pairs, counts, wins, n, reason):
+        with pytest.raises(ValidationError, match=reason):
+            PreferenceDataset(np.array(pairs), np.array(counts), np.array(wins), n)
+
+    def test_fields_are_read_only_int64(self):
+        data = PreferenceDataset([[0, 0, 1], [1, 0, 2]], [3, 1], [2, 0], 4)
+        for field in (data.pairs, data.counts, data.wins, data.records):
+            assert field.dtype == np.int64 and not field.flags.writeable
+        assert data.records.tolist() == [[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 1, 0], [1, 0, 2, 0]]
+        empty = PreferenceDataset.from_records(np.zeros((0, 4), dtype=np.int64), n=1)
+        assert empty.pairs.shape == (0, 3) and empty.records.shape == (0, 4)
+
+    @pytest.mark.parametrize("record, reason", [
+        ([0, 1, 1, 0], r"^record 2: first 1 is not below second 1$"),
+        ([0, 2, 1, 1], r"^record 2: first 2 is not below second 1$"),
+        ([0, 0, 1, 2], r"^record 2: winner_is_first is 2, must be 0 or 1$"),
+    ])
+    def test_from_records_names_the_bad_row(self, record, reason):
+        with pytest.raises(ValidationError, match=reason):
+            PreferenceDataset.from_records([[0, 0, 1, 1], [0, 0, 2, 0], record], n=3)
+
+    def test_records_round_trip_field_for_field(self, paper_instance):
+        other = random_consistent_instance(np.random.default_rng(5))
+        for v, n in ((paper_instance, 137), (other, 60)):
+            data = sample_dataset(v, n, seed=11)
+            again = PreferenceDataset.from_records(data.records, data.n)
+            for name in ("pairs", "counts", "wins"):
+                assert getattr(again, name).tobytes() == getattr(data, name).tobytes()
+            assert again.n == data.n
+
+    def test_shuffled_csv_gives_the_same_estimates(self, tmp_path, paper_instance):
+        v, privacy = paper_instance, PrivacyParams(epsilon=0.9, delta=0.2)
+        kernel = validate_kernel(
+            np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 10)), (2, 10))
+        save_dataset(sample_dataset(v, 200, seed=3), tmp_path / "data.csv")
+        header, *body = (tmp_path / "data.csv").read_text().splitlines()
+        np.random.default_rng(9).shuffle(body)
+        (tmp_path / "shuffled.csv").write_text("\n".join([header, *body]) + "\n")
+        outputs = []
+        for name in ("data.csv", "shuffled.csv"):
+            data = load_dataset(tmp_path / name)
+            report = rl_low(data, v.features, v.reward_bound, tie_seed=4)
+            private = dp_rl_low(data, v.features, v.reward_bound, privacy, seed=5, tie_seed=4)
+            fit = mle_fit(data, v.features, v.reward_bound)
+            policy = rl_low_mdp(data, v.features, v.reward_bound, kernel, v.rho, tie_seed=4)
+            outputs.append((report.rhat.tobytes(), report.selections.tobytes(),
+                            private.rhat.tobytes(), private.selections.tobytes(),
+                            fit.theta_hat.tobytes(), fit.status, policy))
+        assert outputs[0] == outputs[1]
+
+    def test_load_save_load_is_a_fixed_point(self, tmp_path, paper_instance):
+        save_dataset(sample_dataset(paper_instance, 90, seed=8), tmp_path / "a.csv")
+        first = load_dataset(tmp_path / "a.csv")
+        save_dataset(first, tmp_path / "b.csv")
+        second = load_dataset(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for name in ("pairs", "counts", "wins", "records"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.n == second.n == len(first.records)
+
+    @pytest.mark.parametrize("dims, reason", [((1, 3), "state index"), ((2, 2), "action index")])
+    def test_indices_outside_the_instance_refused_by_every_caller(self, dims, reason):
+        data = PreferenceDataset([[0, 0, 1], [1, 0, 2]], [3, 1], [2, 0], 4)
+        features = np.random.default_rng(0).normal(size=(*dims, 2))
+        for call in (lambda: empirical_proportions(data, dims),
+                     lambda: rl_low(data, features, 10.0),
+                     lambda: mle_fit(data, features, 10.0)):
+            with pytest.raises(ValidationError, match=reason):
+                call()

@@ -84,7 +84,7 @@ class TestMechanism:
 
     def test_balanced_rate_with_zero_noise_stays_balanced(self, t1, monkeypatch):
         records = np.asarray([[0, 0, 1, 1]] * 50 + [[0, 0, 1, 0]] * 50)
-        data = PreferenceDataset(records=records, n=100)
+        data = PreferenceDataset.from_records(records, n=100)
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, t1.reward_bound)
         monkeypatch.setattr(privacy_mod, "_draw_noise", zero_noise)
@@ -152,7 +152,7 @@ class TestSensitivity:
         flipped = np.array(data.records)
         flipped[0, 3] = 1 - flipped[0, 3]
         rates2 = success_rates(
-            PreferenceDataset(records=flipped, n=40), schedule, t1.reward_bound
+            PreferenceDataset.from_records(flipped, n=40), schedule, t1.reward_bound
         )
         delta = abs(rates2.raw[0] - rates.raw[0])
         audit = sensitivity_audit(schedule, 40)
@@ -174,7 +174,7 @@ class TestPrivatePipeline:
         data = sample_dataset(v, 120, seed=6)
         flipped_records = np.array(data.records)
         flipped_records[:, 3] = 1 - flipped_records[:, 3]
-        flipped = PreferenceDataset(records=flipped_records, n=120)
+        flipped = PreferenceDataset.from_records(flipped_records, n=120)
 
         schedule_a = empirical_proportions(data, (2, 10))
         schedule_b = empirical_proportions(flipped, (2, 10))

@@ -49,6 +49,17 @@ def _loop_sample(v, n, seed):
     return np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
 
 
+def _assert_tallies_loop(data, records):
+    """The dataset's pairs, counts and wins are the bytes of the loop's records
+    tallied per pair by ``np.unique``."""
+    pairs, inverse, counts = np.unique(records[:, :3], axis=0, return_inverse=True,
+                                       return_counts=True)
+    wins = np.bincount(inverse.reshape(-1), weights=records[:, 3], minlength=len(counts))
+    for got, want in ((data.pairs, pairs), (data.counts, counts), (data.wins, wins.astype(np.int64))):
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+
 def _loop_winners(pairs, counts, p_first, seed):
     """sample_winners for one seed, one substream per pair."""
     return np.concatenate([
@@ -309,14 +320,11 @@ class TestBatchedCallers:
         v = load_instance(INSTANCE_DIR / name)
         n = 400 if v.num_actions < 50 else 20_000
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 424242, 12_345_678_901_234):
-            batched = sample_dataset(v, n, seed).records
-            assert batched.dtype == np.int64
-            assert batched.tobytes() == _loop_sample(v, n, seed).tobytes()
+            _assert_tallies_loop(sample_dataset(v, n, seed), _loop_sample(v, n, seed))
 
     def test_sample_dataset_matches_per_pair_loop_on_t1(self, t1):
         for seed in (0, 5, 2**40):
-            assert sample_dataset(t1, 10_000, seed).records.tobytes() == \
-                _loop_sample(t1, 10_000, seed).tobytes()
+            _assert_tallies_loop(sample_dataset(t1, 10_000, seed), _loop_sample(t1, 10_000, seed))
 
     def test_noise_matches_per_pair_loop(self, paper_instance):
         pairs = paper_instance.observed_pairs()
