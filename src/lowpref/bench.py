@@ -44,7 +44,7 @@ from .instances import (
 )
 from .mdp import load_kernel, mdp_policy_search, mdp_regret
 from .privacy import PrivacyParams, gaussian_mechanism
-from .rng import derive_seeds
+from .rng import stream_keys
 
 ALGORITHMS = ("rl_low", "dp_rl_low", "mle", "rl_low_mdp")
 _CONFIG_KEYS = ("instance", "n_grid", "repetitions", "algorithms", "privacy", "kernel",
@@ -241,8 +241,8 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
         table = build_weight_table(schedule, v.features)
     start = time.perf_counter()
     reps = np.arange(cfg.repetitions)
-    data_seeds = derive_seeds(cfg.master_seed, "data", n, reps)
-    tie_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "tie")
+    data_seeds = stream_keys(cfg.master_seed, "data", n, reps)
+    tie_seeds = stream_keys(cfg.master_seed, algo, n, reps, "tie")
     wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
     won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
     if algo == "mle":
@@ -252,7 +252,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     else:
         rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
-            noise_seeds = derive_seeds(cfg.master_seed, algo, n, reps, "noise")
+            noise_seeds = stream_keys(cfg.master_seed, algo, n, reps, "noise")
             rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])
         scores = estimate_relative_rewards(rates, table, v.features)
     if algo == "rl_low_mdp":

@@ -43,7 +43,7 @@ from .instances import (
     span_rows,
     span_witness,
 )
-from .rng import derive_seeds, integers
+from .rng import integers, stream_keys
 
 # Smallest admissible eigenvalue of V relative to its trace.  V is positive
 # definite on the observed span by construction; anything smaller signals a
@@ -299,8 +299,8 @@ def select_best_actions(
 
     ``rhat`` is (S, A) or a stack (..., S, A); ``tie_seed`` is one seed or
     an array of them over the leading axes.  A tie in state k takes the
-    ``substream(tie seed, "tie", k).integers(ties)``-th tied action of its row,
-    every tie drawn at once by ``rng.integers``.  Returns the (..., S) selections
+    ``rng.integers``-th tied action of its row, drawn from the (tie seed, "tie", k)
+    stream, every tie of the stack at once.  Returns the (..., S) selections
     and, for an (S, A) input, the tied actions of each state; for a stack, None.
     A non-finite estimate is refused, naming its first index.
     """
@@ -309,9 +309,9 @@ def select_best_actions(
     selections, counts = np.argmax(is_max, axis=-1), is_max.sum(axis=-1)
     *rows, ks = tied = np.nonzero(counts > 1)
     if ks.size:  # drawing no tie still costs ~17 us, more than the selection itself
-        if np.ndim(tie_seed):  # a scalar goes to derive_seeds, which masks any Python int
+        if np.ndim(tie_seed):  # a scalar goes to stream_keys, which masks any Python int
             tie_seed = np.broadcast_to(tie_seed, rhat.shape[:-2])[tuple(rows)]
-        draws = integers(derive_seeds(tie_seed, "tie", ks), counts[tied])
+        draws = integers(stream_keys(tie_seed, "tie", ks), counts[tied])
         selections[tied] = np.argmax(is_max[tied].cumsum(axis=-1) > draws[:, None], axis=-1)
     tie_sets = [np.flatnonzero(m).tolist() for m in is_max] if rhat.ndim == 2 else None
     return selections, tie_sets

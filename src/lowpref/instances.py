@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .rng import derive_seeds, substream, uniforms
+from .rng import stream_keys, substream, uniforms
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero when
 # computing the rank of the observed-difference matrix.
@@ -111,16 +111,19 @@ class PreferenceDataset:
                 raise ValidationError(f"dataset pair {p} {tuple(row[:3])}: " + reason.format(*row))
 
     @classmethod
-    def from_records(cls, records, n: int) -> "PreferenceDataset":
-        """Tally (state, first, second, winner_is_first) rows, in any order; a row
-        with first >= second or a winner bit other than 0/1 is refused by index."""
+    def from_records(cls, records, n: int, where="record {}".format) -> "PreferenceDataset":
+        """Tally (state, first, second, winner_is_first) rows, in any order.  A row
+        with a negative index, first >= second or a winner bit other than 0/1 is
+        refused, named by ``where(index)``."""
         rec = np.asarray(records, dtype=np.int64).reshape(-1, 4)
         bits = rec[:, 3]
-        for bad, reason in ((rec[:, 1] >= rec[:, 2], "first {1} is not below second {2}"),
+        for bad, reason in ((rec[:, 0] < 0, "state index {0} is negative"),
+                            (rec[:, 1] < 0, "action index {1} is negative"),
+                            (rec[:, 1] >= rec[:, 2], "first {1} is not below second {2}"),
                             ((bits < 0) | (bits > 1), "winner_is_first is {3}, must be 0 or 1")):
             if bad.any():
                 row = int(np.argmax(bad))
-                raise ValidationError(f"record {row}: " + reason.format(*rec[row].tolist()))
+                raise ValidationError(f"{where(row)}: " + reason.format(*rec[row].tolist()))
         pairs, inverse, counts = np.unique(rec[:, :3], axis=0, return_inverse=True,
                                            return_counts=True)
         wins = np.bincount(inverse.reshape(-1)[bits == 1], minlength=len(counts))
@@ -384,9 +387,9 @@ def sample_winners(
     and pair (k, i, j) draws ``random(count) < p_first`` from the
     (seed, "sample", k, i, j) stream.  ``seed`` is one data seed, giving one
     row of bits, or an (R, 1) column of them, giving R rows; all streams are
-    seeded in one batch.
+    drawn in one batch.
     """
-    streams = derive_seeds(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    streams = stream_keys(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2])
     draws = uniforms(streams.ravel(), np.broadcast_to(counts, streams.shape).ravel())
     return draws.reshape(streams.shape[:-1] + (-1,)) < np.repeat(p_first, counts)
 
@@ -490,7 +493,9 @@ def load_dataset(path: str | Path) -> PreferenceDataset:
             header = next(reader, None)
             if header != ["state", "first", "second", "winner_is_first"]:
                 raise ValidationError(f"unexpected dataset header: {header}")
-            rows = [_record(path, line, row) for line, row in enumerate(reader, 2) if row]
+            numbered = [(line, row) for line, row in enumerate(reader, 2) if row]
+            rows = [_record(path, line, row) for line, row in numbered]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    return PreferenceDataset.from_records(rows, n=max(len(rows), 1))
+    return PreferenceDataset.from_records(rows, n=max(len(rows), 1),
+                                          where=lambda index: f"{path} line {numbered[index][0]}")

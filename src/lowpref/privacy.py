@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import EstimateReport, SuccessRates, dataset_inputs, report_from_rates
 from .instances import PreferenceDataset
-from .rng import derive_seeds, normals
+from .rng import normals, stream_keys
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ def noise_scale(n: int, masses, privacy: PrivacyParams):
 
 def _draw_noise(seed, pairs: np.ndarray, stds: np.ndarray) -> np.ndarray:
     """One Gaussian draw per observed pair from its (seed, "noise", k, i, j)
-    stream, all streams seeded in one batch.  ``seed`` is one seed, or an
+    stream, all streams drawn in one batch.  ``seed`` is one seed, or an
     (R, 1) column of them for R rows of draws.
 
     Module-level so tests can stub it out (e.g. with zeros); the public
     pipeline never substitutes it.
     """
-    streams = derive_seeds(seed, "noise", pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    streams = stream_keys(seed, "noise", pairs[:, 0], pairs[:, 1], pairs[:, 2])
     stds = np.broadcast_to(stds, streams.shape).ravel()
     return normals(streams.ravel(), stds).reshape(streams.shape)
 

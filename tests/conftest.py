@@ -1,4 +1,8 @@
-"""Shared fixtures: tiny hand-checkable instances and a random-instance factory."""
+"""Shared fixtures: tiny hand-checkable instances, a random-instance factory
+and the scalar reference for the random streams."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -103,3 +107,58 @@ def sensitivity_audit(schedule, n):
         (int(k), int(i), int(j)): float(1.0 / (n * schedule[k, i, j]))
         for k, i, j in pairs
     }
+
+
+# A scalar SplitMix64 on Python ints: the reference for ``lowpref.rng``.  The
+# floats it returns go through numpy's log1p and cos on one-element arrays,
+# as a vectorised libm (numpy's on AVX-512, say) need not round as ``math``.
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def unmix64(z):
+    """The inverse of ``mix64``: each xorshift undone by iterating it, each
+    product by the multiplier's inverse mod 2**64."""
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        y = z
+        for _ in range(64 // shift + 1):
+            z = y ^ z >> shift
+        if mult is not None:
+            z = z * pow(mult, -1, 1 << 64) & MASK64
+    return z
+
+
+def oracle_key(*parts):
+    """The stream key of a label tuple: ``h = mix64(h ^ label)`` from h = 0,
+    a string label being the first 8 bytes of its SHA-256, little-endian."""
+    key = 0
+    for part in parts:
+        if isinstance(part, str):
+            part = int.from_bytes(hashlib.sha256(part.encode("utf-8")).digest()[:8], "little")
+        key = mix64(key ^ int(part) & MASK64)
+    return key
+
+
+def oracle_word(key, t):
+    """Word t of the stream: SplitMix64's output t + 1 from state ``key``."""
+    return mix64(key + (t + 1) * GAMMA & MASK64)
+
+
+def oracle_uniforms(key, count):
+    return [(oracle_word(key, t) >> 11) * 2.0**-53 for t in range(count)]
+
+
+def oracle_normal(key, std):
+    u0, u1 = oracle_uniforms(key, 2)
+    radius = math.sqrt(-2.0 * float(np.log1p(np.array([-u0]))[0]))
+    return std * (radius * float(np.cos(np.array([2.0 * math.pi * u1]))[0]))
+
+
+def oracle_integer(key, size):
+    return int(oracle_uniforms(key, 1)[0] * size)

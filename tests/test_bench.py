@@ -31,7 +31,7 @@ from lowpref import (
 )
 import lowpref.bench as bench
 from lowpref.bench import config_from_dict
-from lowpref.rng import derive_seed, substream
+from conftest import oracle_integer, oracle_key
 
 
 @pytest.fixture()
@@ -211,12 +211,12 @@ class TestRunExperiment:
             assert len(table.rows) == len(grid) * reps * len(algorithms)
             for row in table.rows:
                 data = sample_dataset(v, row.n, seed=row.seed)
-                tie = derive_seed(master, row.algo, row.n, row.rep, "tie")
+                tie = oracle_key(master, row.algo, row.n, row.rep, "tie")
                 L = v.reward_bound
                 if row.algo == "rl_low":
                     selections = rl_low(data, v.features, L, tie_seed=tie).selections
                 elif row.algo == "dp_rl_low":
-                    noise = derive_seed(master, row.algo, row.n, row.rep, "noise")
+                    noise = oracle_key(master, row.algo, row.n, row.rep, "noise")
                     selections = dp_rl_low(data, v.features, L, privacy, seed=noise,
                                            tie_seed=tie).selections
                 elif row.algo == "mle":
@@ -285,7 +285,7 @@ def _mdp_regret_oracle(v, kernel, rhat, tie_seed):
     estimated = values(rhat)
     best = max(estimated)
     tied = [p for p, value in zip(policies, estimated) if value == best]
-    policy = tied[substream(tie_seed, "tie", 0).integers(len(tied))] if len(tied) > 1 \
+    policy = tied[oracle_integer(oracle_key(tie_seed, "tie", 0), len(tied))] if len(tied) > 1 \
         else tied[0]
     true = values(v.rewards())
     return max(max(true) - true[policies.index(policy)], 0.0)

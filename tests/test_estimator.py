@@ -26,8 +26,8 @@ from lowpref import (
 )
 from lowpref.estimator import SuccessRates, WeightTable, dataset_inputs
 from lowpref.baseline import MleFit, mle_select
-from lowpref.rng import LANE_MIN_STREAMS, derive_seeds, substream
-from conftest import random_consistent_instance
+from lowpref.rng import stream_keys
+from conftest import oracle_integer, oracle_key, random_consistent_instance
 
 COMMITTED = sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
@@ -392,12 +392,13 @@ def _estimate_oracle(clipped, table):
 
 
 def _select_oracle(rhat, tie_seed):
-    """One (S, A) row's selection by the per-state loop."""
+    """One (S, A) row's selection by the per-state loop, each tie drawn by the
+    scalar oracle from its (tie seed, "tie", k) stream."""
     selections, tie_sets = [], []
     for k, row in enumerate(rhat):
         ties = np.flatnonzero(row == row.max())
         tie_sets.append([int(a) for a in ties])
-        pick = 0 if ties.size == 1 else substream(tie_seed, "tie", k).integers(ties.size)
+        pick = 0 if ties.size == 1 else oracle_integer(oracle_key(tie_seed, "tie", k), ties.size)
         selections.append(int(ties[pick]))
     return selections, tie_sets
 
@@ -460,7 +461,7 @@ class TestStackedOracle:
             tied = rng.choice(A, size=int(rng.integers(2, A + 1)), replace=False)
             rhat[r, k, tied] = rhat[r, k].max()
         rhat[7] = 0.0  # every state of one row ties over all actions
-        seeds = derive_seeds(9, "tie", np.arange(R))  # uint64, many above 2**63
+        seeds = stream_keys(9, "tie", np.arange(R))  # uint64, many above 2**63
         selections, tie_sets = select_best_actions(rhat, seeds)
         assert tie_sets is None and selections.shape == (R, S)
         drawn = 0
@@ -606,10 +607,10 @@ class TestSelection:
         return rhat
 
     @pytest.mark.parametrize("tie_seed", [-1, 0, 2**63 + 5])
-    @pytest.mark.parametrize("ties", [5, LANE_MIN_STREAMS, 90])
+    @pytest.mark.parametrize("ties", [5, 12, 90])
     def test_scalar_seed_matches_substream_loop(self, tie_seed, ties):
-        """Fewer ties than ``LANE_MIN_STREAMS`` draw one stream each, more
-        draw on the lanes; a scalar seed of any sign is masked as substream masks it."""
+        """Any number of ties, one stream per tied state; a scalar seed of any
+        sign is masked to 64 bits."""
         rhat = self._planted(ties)
         assert int(((rhat == rhat.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).sum()) == ties
         selections, tie_sets = select_best_actions(rhat, tie_seed)
@@ -620,10 +621,10 @@ class TestSelection:
         got, got_ties = select_best_actions(wide, tie_seed)
         assert (got.tolist(), got_ties) == _select_oracle(wide, tie_seed)
 
-    @pytest.mark.parametrize("ties", [5, LANE_MIN_STREAMS, 90])
+    @pytest.mark.parametrize("ties", [5, 12, 90])
     def test_seed_array_matches_substream_loop(self, ties):
         rhat = self._planted(ties, seed=ties)
-        seeds = derive_seeds(2, "tie", np.arange(len(rhat)))  # uint64, many above 2**63
+        seeds = stream_keys(2, "tie", np.arange(len(rhat)))  # uint64, many above 2**63
         for tie_seed in (seeds, seeds.astype(np.int64), np.arange(-20, 20)):
             selections, _ = select_best_actions(rhat, tie_seed)
             for r, seed in enumerate(tie_seed.tolist()):

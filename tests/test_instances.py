@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,6 +424,19 @@ class TestFiles:
         loaded = load_dataset(path)
         assert np.array_equal(loaded.records, data.records)
 
+    @pytest.mark.parametrize("row, reason", [
+        ("0,1,0,1", "first 1 is not below second 0"),
+        ("0,0,1,3", "winner_is_first is 3, must be 0 or 1"),
+        ("-1,0,1,1", "state index -1 is negative"),
+    ])
+    def test_refused_rows_are_named_by_file_and_line(self, tmp_path, row, reason):
+        """Blank lines are skipped but counted: the bad row after the blank
+        line 3 is line 4, not record 1."""
+        path = tmp_path / "bad.csv"
+        path.write_text("state,first,second,winner_is_first\n0,0,1,1\n\n" + row + "\n0,0,1,0\n")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path} line 4: {reason}')}$"):
+            load_dataset(path)
+
     def test_malformed_instance_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"S": 1, "A": 2}))
@@ -465,6 +479,8 @@ class TestPerPairDataset:
         ([0, 1, 1, 0], r"^record 2: first 1 is not below second 1$"),
         ([0, 2, 1, 1], r"^record 2: first 2 is not below second 1$"),
         ([0, 0, 1, 2], r"^record 2: winner_is_first is 2, must be 0 or 1$"),
+        ([-1, 0, 1, 0], r"^record 2: state index -1 is negative$"),
+        ([0, -2, 1, 0], r"^record 2: action index -2 is negative$"),
     ])
     def test_from_records_names_the_bad_row(self, record, reason):
         with pytest.raises(ValidationError, match=reason):

@@ -1,5 +1,7 @@
-"""Random streams: the batched path against numpy's own, draw for draw."""
+"""Random streams: the batched path against the scalar SplitMix64 oracle, draw
+for draw, and the statistics of neighbouring streams."""
 
+import math
 import warnings
 from pathlib import Path
 
@@ -11,35 +13,40 @@ from hypothesis import strategies as st
 from lowpref import load_instance, sample_dataset
 from lowpref.instances import sample_winners, sampling_plan
 from lowpref.privacy import _draw_noise
-from lowpref.rng import (
-    LANE_MIN_STREAMS,
-    _seeded,
-    _ziggurat,
-    derive_seed,
-    derive_seeds,
-    integers,
-    normals,
-    substream,
-    uniforms,
+from lowpref.rng import integers, normals, stream_keys, uniforms
+from conftest import (
+    GAMMA,
+    MASK64,
+    oracle_integer,
+    oracle_key,
+    oracle_normal,
+    oracle_uniforms,
+    oracle_word,
+    unmix64,
 )
 
 INSTANCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "instances"
 
-# Word-layout edges of SeedSequence: 0 is the single word [0], values below
-# 2**32 are one word, larger ones two.
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 u64 = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1))
 label = st.one_of(st.text(max_size=6), u64, st.integers(-(2**63), -1))
-# Enough streams for the array path.
-lane_seeds = st.lists(u64, min_size=LANE_MIN_STREAMS, max_size=LANE_MIN_STREAMS + 20)
+
+
+def _keys(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+def _key_for_word0(word: int) -> int:
+    """A key whose word 0 is ``word``."""
+    return unmix64(word) - GAMMA & MASK64
 
 
 def _loop_sample(v, n, seed):
-    """sample_dataset as it was first written: one substream per pair."""
+    """sample_dataset's records by the oracle, one stream per pair."""
     pairs, counts, p_first = sampling_plan(v, n)
     blocks = []
     for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist()):
-        wins = substream(seed, "sample", k, i, j).random(count) < p
+        wins = np.array(oracle_uniforms(oracle_key(seed, "sample", k, i, j), count)) < p
         block = np.empty((count, 4), dtype=np.int64)
         block[:, 0] = k
         block[:, 1] = i
@@ -61,235 +68,195 @@ def _assert_tallies_loop(data, records):
 
 
 def _loop_winners(pairs, counts, p_first, seed):
-    """sample_winners for one seed, one substream per pair."""
+    """sample_winners for one seed by the oracle, one stream per pair."""
     return np.concatenate([
-        substream(seed, "sample", k, i, j).random(count) < p
+        np.array(oracle_uniforms(oracle_key(seed, "sample", k, i, j), count)) < p
         for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist())
     ])
 
 
 def _loop_noise(seed, pairs, stds):
-    """_draw_noise as it was first written: one substream per pair."""
+    """_draw_noise by the oracle, one stream per pair."""
     return np.array([
-        substream(seed, "noise", int(k), int(i), int(j)).normal(0.0, std)
+        oracle_normal(oracle_key(seed, "noise", int(k), int(i), int(j)), std)
         for (k, i, j), std in zip(pairs, stds)
     ])
 
 
 class TestDeriveSeeds:
+    """``stream_keys``, the batched key of every label tuple, against the oracle."""
+
     @settings(max_examples=300, deadline=None)
     @given(seeds=st.lists(u64, min_size=1, max_size=12), first=label,
            ints=st.lists(u64, min_size=1, max_size=12), last=label)
-    def test_equals_derive_seed_elementwise(self, seeds, first, ints, last):
+    def test_equals_oracle_key_elementwise(self, seeds, first, ints, last):
         n = min(len(seeds), len(ints))
         seeds, ints = seeds[:n], ints[:n]
-        got = derive_seeds(np.array(seeds, dtype=np.uint64), first,
-                           np.array(ints, dtype=np.uint64), last)
+        got = stream_keys(_keys(seeds), first, _keys(ints), last)
         assert got.dtype == np.uint64
-        assert got.tolist() == [derive_seed(s, first, x, last) for s, x in zip(seeds, ints)]
+        assert got.tolist() == [oracle_key(s, first, x, last) for s, x in zip(seeds, ints)]
 
     def test_negative_labels_wrap_as_in_derive_seed(self):
+        """Negative labels, scalar or in an array, are their two's complement."""
         labels = np.array([-1, -(2**63), -(2**32)], dtype=np.int64)
-        got = derive_seeds(9, labels, "tie")
-        assert got.tolist() == [derive_seed(9, int(x), "tie") for x in labels]
+        got = stream_keys(9, labels, "tie")
+        assert got.tolist() == [oracle_key(9, int(x) & MASK64, "tie") for x in labels]
+        assert int(stream_keys(-1, "x")) == int(stream_keys(2**64 - 1, "x"))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=u64, words=st.lists(st.text(max_size=4), min_size=0, max_size=3))
     def test_scalar_parts_only(self, seed, words):
-        got = derive_seeds(seed, *words)
-        assert got.shape == () and int(got) == derive_seed(seed, *words)
+        got = stream_keys(seed, *words)
+        assert got.shape == () and got.dtype == np.uint64
+        assert int(got) == oracle_key(seed, *words)
+        assert int(stream_keys(np.array(seed, dtype=np.uint64), *words)) == int(got)
 
     def test_parts_broadcast(self):
-        reps = np.array([0, 2**32, 7], dtype=np.uint64)
+        reps = _keys([0, 2**32, 7])
         k = np.array([0, 1, 2**40, 3])
-        got = derive_seeds(reps[:, None], "sample", k, 5)
+        got = stream_keys(reps[:, None], "sample", k, 5)
         assert got.shape == (3, 4)
         for r, rep in enumerate(reps.tolist()):
-            assert got[r].tolist() == [derive_seed(rep, "sample", int(x), 5) for x in k]
+            assert got[r].tolist() == [oracle_key(rep, "sample", int(x), 5) for x in k]
 
     @settings(max_examples=100, deadline=None)
     @given(seeds=st.lists(st.sampled_from(EDGES), min_size=1, max_size=5),
            labels=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=8),
            middle=label)
     def test_seed_column_against_label_arrays(self, seeds, labels, middle):
-        """An (R, 1) column of one- and two-word seeds against (m,) labels
-        that wrap from negative or take two words: the column splits the
-        broadcast lanes, and every lane still equals derive_seed."""
+        """An (R, 1) column of seeds against (m,) labels, negative or wide:
+        every lane of the (R, m) keys equals the oracle."""
         seeds = [1, 2**32] + seeds
         labels = [-1, 2**32 + 3] + labels
-        column = np.array(seeds, dtype=np.uint64)[:, None]
+        column = _keys(seeds)[:, None]
         ks = np.array(labels, dtype=np.int64)
-        got = derive_seeds(column, middle, ks, ks[::-1])
+        got = stream_keys(column, middle, ks, ks[::-1])
         assert got.shape == (len(seeds), len(labels)) and got.dtype == np.uint64
-        assert got.size >= LANE_MIN_STREAMS
         for row, seed in zip(got.tolist(), seeds):
-            assert row == [derive_seed(seed, middle, a, b) for a, b in zip(labels, labels[::-1])]
+            assert row == [oracle_key(seed, middle, a, b) for a, b in zip(labels, labels[::-1])]
 
     def test_zero_length_axis(self):
         for parts, shape in (((np.arange(3)[:, None], "x", np.zeros(0, dtype=np.int64)), (3, 0)),
                              ((np.zeros((0, 1), dtype=np.uint64), "x", np.arange(20)), (0, 20))):
-            got = derive_seeds(*parts)
+            got = stream_keys(*parts)
             assert got.shape == shape and got.dtype == np.uint64
 
     @pytest.mark.parametrize("seed", [42, 2**40])
     def test_scalar_prefix_grows_by_broadcasting(self, seed):
-        """The first four entropy words are scalars (one- or two-word seed,
-        a string label, an integer), so the pool starts on one lane and
-        broadcasts to the batch at the first array word."""
-        reps = np.arange(LANE_MIN_STREAMS + 8)
+        """Scalar parts fold on one lane, which broadcasts to the batch at the
+        first array part; no uint64 scalar overflows on the way."""
+        reps = np.arange(20)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = derive_seeds(seed, "data", 7, reps)
-            tail = derive_seeds(seed, "data", 7, 9, "tie", reps)
-        assert got.tolist() == [derive_seed(seed, "data", 7, rep) for rep in reps.tolist()]
-        assert tail.tolist() == [derive_seed(seed, "data", 7, 9, "tie", rep) for rep in reps.tolist()]
+            got = stream_keys(seed, "data", 7, reps)
+            tail = stream_keys(seed, "data", 7, 9, "tie", reps)
+        assert got.tolist() == [oracle_key(seed, "data", 7, rep) for rep in reps.tolist()]
+        assert tail.tolist() == [oracle_key(seed, "data", 7, 9, "tie", rep) for rep in reps.tolist()]
 
     def test_empty_batch(self):
-        assert derive_seeds(3, "x", np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert stream_keys(3, "x", np.zeros(0, dtype=np.int64)).shape == (0,)
         empty = np.zeros(0, dtype=np.uint64)
         assert uniforms(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
         assert normals(empty, np.zeros(0)).shape == (0,)
         assert integers(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_float_labels_refused(self):
-        with pytest.raises(TypeError):
-            derive_seeds(3, np.array([1.0]))
+        for part in (np.array([1.0]), np.float64(1.0), 1.0):
+            with pytest.raises(TypeError):
+                stream_keys(3, part)
 
 
-def _first_output(seed: int) -> tuple[int, int, bool]:
-    """(idx, rabs, fast) of the first output of default_rng(seed), as the
-    ziggurat reads it."""
-    word = int(np.random.default_rng(seed).bit_generator.random_raw())
-    idx, rabs = word & 0xFF, word >> 9 & ((1 << 52) - 1)
-    return idx, rabs, rabs < int(_ziggurat()[1][idx])
+class TestStreamWords:
+    def test_known_answers(self):
+        """Words 0 to 2 of key 0 are splitmix64.c's first outputs from seed 0."""
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [oracle_word(0, t) for t in range(3)] == want
+        got = uniforms(_keys([0]), np.array([3]))
+        assert got.tolist() == [(w >> 11) * 2.0**-53 for w in want]
+
+    def test_independence_across_neighbouring_keys(self):
+        """Word 0 of 10**5 consecutive pair labels, and of 10**5 consecutive
+        seeds under one label, and word 1 against word 0: the mean, the
+        variance and the correlation of neighbours each within 5 standard
+        errors of 1/2, 1/12 and 0."""
+        size = 10**5
+        ones = np.ones(size, dtype=np.int64)
+        by_label = stream_keys(2024, "sample", np.arange(size))
+        by_seed = stream_keys(np.arange(size), "sample", 7)
+        for keys in (by_label, by_seed):
+            u = uniforms(keys, ones)
+            assert abs(u.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / size)
+            assert abs(u.var() - 1 / 12) <= 5 * math.sqrt((1 / 80 - 1 / 144) / size)
+            assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 5 / math.sqrt(size)
+            pairs = uniforms(keys, 2 * ones).reshape(-1, 2)
+            assert abs(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]) <= 5 / math.sqrt(size)
 
 
 class TestLaneDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(u64, min_size=4 * 9, max_size=60),
+    @given(seeds=st.lists(u64, min_size=0, max_size=60),
            counts=st.lists(st.integers(0, 9), min_size=60, max_size=60))
-    def test_random_matches_default_rng(self, seeds, counts):
-        """At least four streams per position, so the array path draws."""
+    def test_uniforms_equal_oracle(self, seeds, counts):
         counts = counts[: len(seeds)]
-        expected = [np.random.default_rng(s).random(c) for s, c in zip(seeds, counts)]
-        got = uniforms(np.array(seeds, dtype=np.uint64), np.array(counts))
-        assert got.tobytes() == np.concatenate(expected).tobytes()
+        expected = [oracle_uniforms(s, c) for s, c in zip(seeds, counts)]
+        got = uniforms(_keys(seeds), np.array(counts, dtype=np.int64))
+        assert got.tobytes() == np.array(sum(expected, []), dtype=float).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seeds=lane_seeds, std=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
-    def test_normal_matches_default_rng(self, seeds, std):
-        got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
-        expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
-        assert got.tobytes() == np.array(expected).tobytes()
+    @given(seeds=st.lists(u64, min_size=0, max_size=40),
+           std=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    def test_normals_equal_oracle(self, seeds, std):
+        got = normals(_keys(seeds), np.full(len(seeds), std))
+        assert got.tobytes() == np.array([oracle_normal(s, std) for s in seeds]).tobytes()
 
-    def test_seeded_state_matches_numpy(self):
-        """The seeded PCG64 state and increment of each lane, which the
-        streams drawn off the lanes are set to, are default_rng(seed)'s."""
-        seeds = derive_seeds(3, "state", np.arange(40))
-        seeds[:3] = [0, 2**32 - 1, 2**32]
-        state = _seeded(seeds)
-        for lane, seed in enumerate(seeds.tolist()):
-            hi, lo, inc_hi, inc_lo = (int(half[lane]) for half in state)
-            want = np.random.default_rng(seed).bit_generator.state["state"]
-            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
-
-    def test_normal_off_the_fast_path(self):
-        """Planted seeds whose first output lands on idx 0, on idx 1 (never
-        on the fast path) and off the fast path elsewhere, among others."""
-        wanted = {
-            "idx 0": lambda idx, rabs, fast: idx == 0 and fast,
-            "idx 0 tail": lambda idx, rabs, fast: idx == 0 and not fast,
-            "idx 1": lambda idx, rabs, fast: idx == 1,
-            "rabs >= ki": lambda idx, rabs, fast: idx > 1 and not fast,
-        }
-        planted = {}
-        seed = 0
-        while len(planted) < len(wanted):
-            first = _first_output(seed)
-            for name, test in wanted.items():
-                if name not in planted and test(*first):
-                    planted[name] = seed
-            seed += 1
-        seeds = list(planted.values()) + list(range(10**6, 10**6 + LANE_MIN_STREAMS))
-        for std in (0.0, 1.0, 0.37):
-            got = normals(np.array(seeds, dtype=np.uint64), np.full(len(seeds), std))
-            expected = [np.random.default_rng(seed).normal(0.0, std) for seed in seeds]
-            assert got.tobytes() == np.array(expected).tobytes()
-
-
-def _numpy_integers(seeds, sizes):
-    return [np.random.default_rng(seed).integers(size) for seed, size in zip(seeds, sizes)]
+    def test_normals_at_the_extreme_words(self):
+        """Word 0 at 0 gives radius 0; at its top, radius sqrt(2·53·ln 2); word 1
+        sweeps the angle.  Keys are planted through the inverse of mix64."""
+        keys = [_key_for_word0(w) for w in (0, 2**11 - 1, MASK64, MASK64 - 2**11)]
+        keys += [0, 1, 2**63]
+        got = normals(_keys(keys), np.full(len(keys), 1.5))
+        assert got.tobytes() == np.array([oracle_normal(k, 1.5) for k in keys]).tobytes()
+        assert got[0] == got[1] == 0.0
+        assert abs(got[2]) <= 1.5 * math.sqrt(2 * 53 * math.log(2))
+        assert np.isfinite(got).all()
 
 
 class TestLaneIntegers:
-    """``integers`` against ``default_rng(seed).integers(size)``, draw for draw."""
+    """``integers`` against the oracle's ``floor(u·size)``, draw for draw."""
 
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(u64, min_size=1, max_size=40),
-           sizes=st.lists(st.integers(1, 1000), min_size=40, max_size=40))
-    def test_matches_default_rng(self, seeds, sizes):
+    @given(seeds=st.lists(u64, min_size=0, max_size=40),
+           sizes=st.lists(st.integers(1, 2**32), min_size=40, max_size=40))
+    def test_integers_equal_oracle(self, seeds, sizes):
         sizes = sizes[: len(seeds)]
-        got = integers(np.array(seeds, dtype=np.uint64), np.array(sizes))
+        got = integers(_keys(seeds), np.array(sizes, dtype=np.int64))
         assert got.dtype == np.int64
-        assert got.tolist() == _numpy_integers(seeds, sizes)
+        assert got.tolist() == [oracle_integer(s, size) for s, size in zip(seeds, sizes)]
 
-    @pytest.mark.parametrize("streams", [1, LANE_MIN_STREAMS - 1, LANE_MIN_STREAMS, 1000])
+    @pytest.mark.parametrize("streams", [1, 11, 12, 1000])
     def test_every_size_up_to_a_thousand(self, streams):
-        """Sizes 1 to 1,000, in batches below and above the crossover."""
+        """Sizes 1 to 1,000 in batches of one stream and more."""
         sizes = np.arange(1, 1001)
-        seeds = derive_seeds(5, "integers", np.arange(1000))
+        keys = stream_keys(5, "integers", np.arange(1000))
         for lo in range(0, 1000, streams):
-            got = integers(seeds[lo : lo + streams], sizes[lo : lo + streams])
-            want = _numpy_integers(seeds[lo : lo + streams].tolist(), sizes[lo : lo + streams])
+            got = integers(keys[lo : lo + streams], sizes[lo : lo + streams])
+            want = [oracle_integer(k, size) for k, size in
+                    zip(keys[lo : lo + streams].tolist(), sizes[lo : lo + streams].tolist())]
             assert got.tolist() == want
+            assert (0 <= got).all() and (got < sizes[lo : lo + streams]).all()
 
-    @pytest.mark.parametrize("streams", [LANE_MIN_STREAMS - 1, 2000])
-    def test_rejected_streams_draw_on_their_own(self, streams):
-        """At size 3·2**30 numpy rejects a low word below 2**30, about one
-        stream in four, and draws again."""
-        size = 3 * 2**30
-        seeds = derive_seeds(11, "reject", np.arange(streams))
-        low = [int(np.random.default_rng(s).bit_generator.random_raw()) & 0xFFFFFFFF
-               for s in seeds.tolist()]
-        rejected = sum(word < (2**32 - size) % size for word in low)
-        if streams > LANE_MIN_STREAMS:
-            assert 0.2 < rejected / streams < 0.3
-        got = integers(seeds, np.full(streams, size))
-        assert got.tolist() == _numpy_integers(seeds.tolist(), [size] * streams)
-
-
-def _consumes_one_output(rabs: int, idx: int) -> bool:
-    """Whether standard_normal takes the ziggurat fast path when its first
-    output carries (rabs, sign 0, idx): with inc = 1, PCG64 steps to the
-    state ``word`` and outputs it unrotated."""
-    word = rabs << 9 | idx
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    bits = np.random.PCG64(0)
-    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                  "state": {"state": (word - 1) * pow(mult, -1, 2**128) % 2**128, "inc": 1}}
-    np.random.Generator(bits).standard_normal()
-    return bits.state["state"]["state"] == word
-
-
-class TestZiggurat:
-    def test_every_ki_at_or_below_numpy(self):
-        """A probe at ki - 1 takes the fast path: it consumes one output."""
-        for idx, k in enumerate(_ziggurat()[1].tolist()):
-            if k:
-                assert _consumes_one_output(k - 1, idx), idx
-
-    def test_known_entries(self):
-        wi, ki = _ziggurat()
-        assert int(ki[0]) == 0x000EF33D8025EF6A
-        # numpy's own value: idx 1 never takes the fast path.
-        assert int(ki[1]) == 0
-        assert wi.shape == ki.shape == (256,)
-        assert not wi.flags.writeable and not ki.flags.writeable
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000, 3 * 2**30, 2**32 - 1, 2**32])
+    def test_top_word_draws_the_last_value(self, size):
+        """The largest u, 1 − 2**-53, times any size up to 2**32 rounds to
+        below the size, so the draw never reaches it."""
+        keys = _keys([_key_for_word0(MASK64), _key_for_word0(0)])
+        assert integers(keys, np.full(2, size)).tolist() == [size - 1, 0]
 
 
 class TestCrossover:
-    @pytest.mark.parametrize("streams", [1, LANE_MIN_STREAMS - 1, LANE_MIN_STREAMS,
-                                         LANE_MIN_STREAMS + 1])
+    """Small batches, one stream and up, row by row against the per-stream loops."""
+
+    @pytest.mark.parametrize("streams", [1, 11, 12, 13])
     def test_callers_around_the_crossover(self, streams):
         pairs = np.column_stack([np.arange(streams) % 3, np.arange(streams),
                                  np.arange(streams) + 1])
@@ -303,10 +270,10 @@ class TestCrossover:
                 _loop_noise(seed, pairs, stds).tobytes()
 
     def test_seed_column_mixing_word_layouts(self, paper_instance):
-        """Rows whose seeds take one and two entropy words split the batch."""
+        """A column of small, 32-bit-edge and wide seeds: each row is its seed's."""
         pairs, counts, p_first = sampling_plan(paper_instance, 150)
         stds = np.linspace(0.01, 2.0, len(pairs))
-        seeds = np.array([3, 2**32 + 5, 0, 2**40, 2**32 - 1], dtype=np.uint64)
+        seeds = _keys([3, 2**32 + 5, 0, 2**40, 2**32 - 1])
         wins = sample_winners(pairs, counts, p_first, seeds[:, None])
         noise = _draw_noise(seeds[:, None], pairs, stds)
         for seed, win_row, noise_row in zip(seeds.tolist(), wins, noise):
@@ -336,7 +303,7 @@ class TestBatchedCallers:
     def test_noise_rows_for_a_seed_column(self, tri):
         pairs = tri.observed_pairs()
         stds = np.array([0.5, 1.5])
-        seeds = np.array([4, 2**50, 0], dtype=np.uint64)
+        seeds = _keys([4, 2**50, 0])
         rows = _draw_noise(seeds[:, None], pairs, stds)
         assert rows.shape == (3, 2)
         for seed, row in zip(seeds.tolist(), rows):
