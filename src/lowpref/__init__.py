@@ -8,7 +8,6 @@ from .analysis import (
     hardness,
     kl_bracket,
     lower_bound_adversary,
-    regret_envelopes,
 )
 from .baseline import MleFit, mle_fit, mle_select
 from .bench import (

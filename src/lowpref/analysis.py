@@ -235,35 +235,3 @@ def lower_bound_adversary(v: Instance) -> AdversaryPair:
         raise NumericalError("adversary construction failed: " + "; ".join(problems))
     return pair
 
-
-def regret_envelopes(
-    v: Instance, n_grid, privacy: PrivacyParams | None = None
-) -> list[dict]:
-    """Unit-constant worst-case envelope values over a sample-size grid.
-
-    The static part is ``sum(rho * (sqrt(gamma) + gamma_tilde)) / sqrt(n)``;
-    with privacy a ``sum(rho * (sqrt(gamma_dp) + gamma_tilde_dp)) *
-    sqrt(ln(1.25/delta)) / (eps * n)`` term is added.  Only shapes are
-    meaningful: the universal constants are unspecified, so consumers fit a
-    single scalar per curve instead of reading absolute values.
-    """
-    report = hardness(v, privacy)
-    static_sum = sum(
-        float(v.rho[k]) * (math.sqrt(report.gamma[(k, i)]) + report.gamma_tilde[(k, i)])
-        for (k, i) in report.gamma
-    )
-    dp_sum = None
-    if privacy is not None:
-        dp_sum = sum(
-            float(v.rho[k])
-            * (math.sqrt(report.gamma_dp[(k, i)]) + report.gamma_tilde_dp[(k, i)])
-            for (k, i) in report.gamma_dp
-        ) * math.sqrt(math.log(1.25 / privacy.delta))
-    rows = []
-    for n in n_grid:
-        row = {"n": int(n), "static": static_sum / math.sqrt(n)}
-        if dp_sum is not None:
-            row["dp_term"] = dp_sum / (privacy.epsilon * n)
-            row["total"] = row["static"] + row["dp_term"]
-        rows.append(row)
-    return rows

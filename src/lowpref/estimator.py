@@ -254,7 +254,7 @@ def _pair_log_odds(rates: SuccessRates, table: WeightTable) -> np.ndarray:
         raise ValidationError("rates and weight table cover different pairs")
     values = rates.clipped
     # min/max rather than np.any(values <= 0): the same per-element check at
-    # a third of the cost, which the per-repetition sweep cells notice.
+    # a third of the cost.
     if values.min() <= 0 or values.max() >= 1:
         raise NumericalError("clipped rate of 0 or 1 reached the log-odds")
     # log(b) - log(1-b) rather than log(b/(1-b)): no cancellation near the

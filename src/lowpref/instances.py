@@ -61,7 +61,7 @@ class Instance:
     @cached_property
     def gaps(self) -> np.ndarray:
         """Read-only per-(state, action) reward deficit against the state's
-        best action; computed once, since the sweep's regret reads it per cell."""
+        best action, computed once."""
         rewards = self.rewards()
         gaps = rewards.max(axis=1, keepdims=True) - rewards
         gaps.flags.writeable = False
@@ -140,11 +140,13 @@ class PreferenceDataset:
         return rows
 
     def check_dims(self, dims: tuple[int, int]) -> None:
-        """Refuse a state or action index outside (S, A) = ``dims``."""
-        if self.pairs[:, 0].max(initial=0) >= dims[0]:
-            raise ValidationError(f"dataset state index out of range for S = {dims[0]}")
-        if self.pairs[:, 2].max(initial=0) >= dims[1]:
-            raise ValidationError(f"dataset action index out of range for A = {dims[1]}")
+        """Refuse a state or action index outside (S, A) = ``dims``, naming its pair."""
+        bad = self.pairs[:, [0, 2]] >= np.asarray(dims)
+        if bad.any():
+            p, c = divmod(int(np.argmax(bad)), 2)  # the first pair, its state checked first
+            row = self.pairs[p].tolist()
+            raise ValidationError(f"dataset pair {p} {tuple(row)}: {('state', 'action')[c]} "
+                                  f"index {row[2 * c]} is outside {'SA'[c]} = {dims[c]}")
 
 
 @dataclass(frozen=True)
@@ -373,8 +375,9 @@ def sampling_plan(v: Instance, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pairs, counts = pairs[counts > 0], counts[counts > 0]
     rewards = v.rewards()
     gaps = rewards[pairs[:, 0], pairs[:, 2]] - rewards[pairs[:, 0], pairs[:, 1]]
-    # math.exp per pair, not np.exp: the two may differ in the last bit.
-    p_first = 1.0 / (1.0 + np.array([math.exp(gap) for gap in gaps.tolist()]))
+    # A gap past exp's range overflows to inf, giving the exact limit 0.
+    with np.errstate(over="ignore"):
+        p_first = 1.0 / (1.0 + np.exp(gaps))
     return pairs, counts, p_first
 
 

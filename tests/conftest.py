@@ -3,11 +3,17 @@ and the scalar reference for the random streams."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lowpref import GeneratorConfig, make_instance, make_paper_instance, validate_instance
+
+# The instances the benchmark runs on.
+COMMITTED = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
+)
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +23,15 @@ def t1():
     schedule = np.zeros((1, 2, 2))
     schedule[0, 0, 1] = 1.0
     return validate_instance(make_instance(features, [1.0], [1.0], schedule, 1.0))
+
+
+@pytest.fixture(scope="session")
+def wide_gap():
+    """t1's geometry with rewards -360 and 360: the gap of 720 overflows exp."""
+    features = np.array([[[-1.0], [1.0]]])
+    schedule = np.zeros((1, 2, 2))
+    schedule[0, 0, 1] = 1.0
+    return validate_instance(make_instance(features, [360.0], [1.0], schedule, 360.0))
 
 
 @pytest.fixture(scope="session")

@@ -463,18 +463,16 @@ def _private_excess(summary, ns):
     return excess, se
 
 
-def test_figure1_private_excess_trend(figure1, halving, paper_instance):
+def test_figure1_private_excess_trend(figure1, halving):
     """Privacy-cost invariant: the private-minus-plain regret excess falls
-    from n=360 to n=1440, and on the Figure-1 grid it sits under the privacy
-    envelope term once its unspecified constant is fixed at the worst
-    observed point.
+    from n=360 to n=1440, and privacy costs something somewhere on the
+    Figure-1 grid.
 
     The decay is tested on 8a's n pair: across the Figure-1 grid the excess
-    is flat within its noise (0.07 to 0.09 from n=50 to n=400 at 4,000
-    repetitions), so a decay between that grid's endpoints is not the model's.
+    is flat within its noise (0.074 at n=50, 0.094 at n=200, 0.083 at n=400
+    at 4,000 repetitions, se about 0.002), so neither a decay between that
+    grid's endpoints nor a 1/n envelope fitted on it is the model's.
     """
-    from lowpref import regret_envelopes
-
     cfg, summary = halving
     excess, se = _private_excess(summary, cfg.n_grid)
     # One-sided 95% significance of the decay from n=360 to n=1440.
@@ -486,11 +484,7 @@ def test_figure1_private_excess_trend(figure1, halving, paper_instance):
 
     ns = (50, 100, 150, 200, 250, 300, 350, 400)
     excess, _ = _private_excess(figure1[2], ns)
-    rows = regret_envelopes(paper_instance, ns, PRIVACY)
-    terms = np.array([row["dp_term"] for row in rows])
-    fitted = float(np.max(excess / terms))
-    assert np.all(excess <= fitted * terms + 1e-12)
-    assert np.isfinite(fitted) and fitted > 0
+    assert excess.max() > 0
 
 
 def test_criterion_09_mdp_reduction(paper_instance):

@@ -1,7 +1,6 @@
 """Hardness coefficients, discrepancy/KL machinery, adversary construction."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,16 +20,12 @@ from lowpref import (
     lower_bound_adversary,
     make_instance,
     mdp_hardness,
-    regret_envelopes,
     suboptimality_gaps,
     validate_kernel,
 )
-from conftest import random_consistent_instance
+from conftest import COMMITTED, random_consistent_instance
 
 PRIVACY = PrivacyParams(epsilon=0.9, delta=0.2)
-COMMITTED = sorted(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
-)
 
 
 def with_theta(v, theta):
@@ -308,22 +303,6 @@ class TestAdversary:
 
 
 class TestEnvelopes:
-    def test_t1_static_value(self, t1):
-        rows = regret_envelopes(t1, [100])
-        assert rows[0]["static"] == pytest.approx(0.2, abs=1e-12)
-
-    def test_strictly_decreasing(self, paper_instance):
-        rows = regret_envelopes(paper_instance, [50, 100, 200, 400])
-        values = [row["static"] for row in rows]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_t1_dp_term(self, t1):
-        rows = regret_envelopes(t1, [100], PRIVACY)
-        expected = 2 * math.sqrt(math.log(1.25 / 0.2)) / (0.9 * 100)
-        assert rows[0]["dp_term"] == pytest.approx(expected, rel=1e-12)
-        assert abs(rows[0]["dp_term"] - 0.030077) < 1e-4
-        assert rows[0]["total"] == pytest.approx(0.2 + expected, rel=1e-12)
-
     def test_json_report_round_trip(self, t1):
         report = hardness(t1, PRIVACY)
         payload = report.to_json_dict()

@@ -121,6 +121,22 @@ def test_winner_bit_outside_zero_one_exits_2(mdp_args, capsys):
     assert "winner_is_first is 2" in capsys.readouterr().err
 
 
+def test_out_of_range_dataset_index_exits_2(mdp_args, capsys):
+    data_path = mdp_args[-1]
+    open(data_path, "a").write("5,0,1,0\n")
+    capsys.readouterr()
+    assert main(mdp_args) == 2
+    assert "(5, 0, 1): state index 5 is outside S = 2" in capsys.readouterr().err
+
+
+def test_sample_with_gap_past_exp_range(tmp_path, wide_gap, capsys):
+    path = tmp_path / "wide_gap.json"
+    save_instance(wide_gap, path)
+    assert main(["sample", "--instance", str(path), "--n", "10", "--seed", "1",
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    assert (tmp_path / "data.csv").read_text().splitlines()[1:] == ["0,0,1,0"] * 10
+
+
 def test_non_finite_kernel_exits_2(mdp_args, capsys):
     kernel_path = mdp_args[4]
     payload = json.loads(open(kernel_path).read())

@@ -3,7 +3,6 @@
 import math
 import re
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +26,7 @@ from lowpref import (
 from lowpref.estimator import SuccessRates, WeightTable, dataset_inputs
 from lowpref.baseline import MleFit, mle_select
 from lowpref.rng import stream_keys
-from conftest import oracle_integer, oracle_key, random_consistent_instance
-
-COMMITTED = sorted(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "instances").glob("*.json")
-)
+from conftest import COMMITTED, oracle_integer, oracle_key, random_consistent_instance
 
 
 def make_rates(table, clipped, L=1.0):

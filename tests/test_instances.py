@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,9 +36,10 @@ from lowpref.instances import (
     consistency_witness,
     observed_differences,
     outside_span,
+    sampling_plan,
     span_rows,
 )
-from conftest import random_consistent_instance
+from conftest import COMMITTED, random_consistent_instance
 
 
 def _t1_like(**overrides):
@@ -362,6 +364,25 @@ class TestSampling:
             sample_dataset(t1, 0, seed=0)
 
 
+class TestSamplingPlan:
+    """``p_first`` against the comparison model, pair by pair."""
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_p_first_is_the_scalar_sigmoid(self, path):
+        v = load_instance(path)
+        pairs, _, p_first = sampling_plan(v, 1000)
+        rewards = v.rewards()
+        want = np.array([1 / (1 + math.exp(rewards[k, j] - rewards[k, i]))
+                         for k, i, j in pairs.tolist()])
+        assert np.all(np.abs(p_first - want) <= 4 * np.spacing(want))
+
+    def test_gap_past_exp_range_gives_no_first_wins(self, wide_gap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sampling_plan(wide_gap, 50)[2].tolist() == [0.0]
+            assert sample_dataset(wide_gap, 50, seed=1).wins.tolist() == [0]
+
+
 class TestProportions:
     def test_counting(self):
         records = np.array(
@@ -524,6 +545,16 @@ class TestPerPairDataset:
         for name in ("pairs", "counts", "wins", "records"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
         assert first.n == second.n == len(first.records)
+
+    @pytest.mark.parametrize("pairs, reason", [
+        ([[0, 0, 1], [5, 0, 1]], r"^dataset pair 1 \(5, 0, 1\): state index 5 is outside S = 2$"),
+        ([[0, 0, 1], [1, 0, 7]], r"^dataset pair 1 \(1, 0, 7\): action index 7 is outside A = 4$"),
+        ([[0, 0, 9], [3, 0, 1]], r"^dataset pair 0 \(0, 0, 9\): action index 9 is outside A = 4$"),
+    ], ids=["state", "action", "first-pair"])
+    def test_out_of_range_index_names_its_pair(self, pairs, reason):
+        data = PreferenceDataset(pairs, [1, 1], [0, 1], 2)
+        with pytest.raises(ValidationError, match=reason):
+            data.check_dims((2, 4))
 
     @pytest.mark.parametrize("dims, reason", [((1, 3), "state index"), ((2, 2), "action index")])
     def test_indices_outside_the_instance_refused_by_every_caller(self, dims, reason):
