@@ -25,7 +25,6 @@ from .estimator import (
     SuccessRates,
     WeightEntry,
     WeightTable,
-    build_design_matrix,
     build_weight_table,
     estimate_relative_rewards,
     local_weights_qp_oracle,

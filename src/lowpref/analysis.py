@@ -15,7 +15,8 @@ in the mass-weighted squared relative-reward discrepancy has closed form
 ``theta' = theta + (eta / |z|^2_{V^-1}) * V^{-1} z`` and discrepancy
 ``eta^2 / |z|^2_{V^-1}``.  That discrepancy brackets the KL divergence
 between the label laws of the two instances up to factors exponential in
-the maximum absolute reward.
+the maximum absolute reward.  The weight table's SVD gives ``V`` as
+``diag(s^2)`` in its basis, so ``V^{-1} z`` is ``coords / s^2``, lifted.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def _alt_pair(v: Instance, table: WeightTable, z, eta: float) -> AdversaryPair:
         if eta != 0:
             raise ValidationError("constraint is infeasible for z = 0")
         return AdversaryPair(base=v, alt=v, dtilde_value=0.0, eta=0.0, z=z)
-    solved = np.linalg.solve(table.V, coords)
-    denom = float(coords @ solved)
-    theta_alt = v.theta + (eta / denom) * (solved @ table.basis)
+    whitened = coords / table.scale
+    denom = float(whitened @ whitened)
+    theta_alt = v.theta + (eta / denom) * ((whitened / table.scale) @ table.basis)
     alt_rewards = v.features @ theta_alt
     bound = max(v.reward_bound, float(np.max(np.abs(alt_rewards))))
     alt = make_instance(v.features, theta_alt, v.rho, v.schedule, bound)

@@ -25,6 +25,7 @@ class InconsistencyError(ValidationError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: singular design matrix, non-convergence, broken identity."""
+    """Numerical failure: a singular mass-weighted Gram matrix (a weighted
+    singular value too small), non-convergence, broken identity."""
 
     exit_code = 4

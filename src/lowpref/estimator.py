@@ -4,13 +4,13 @@ Given a dataset of pairwise comparisons, the pipeline is
 
   1. empirical success rates per observed pair, clipped to the interval the
      bounded-reward model allows;
-  2. an orthonormal basis of the span of observed feature differences and
-     the mass-weighted Gram matrix ``V`` of those differences
-     (``build_weight_table``, which refuses an inconsistent schedule);
+  2. one SVD of the observed differences with rows scaled by ``sqrt(N)``
+     (``build_weight_table``, which refuses an inconsistent schedule), whose
+     whitened coordinates make the mass-weighted Gram matrix ``V`` the identity;
   3. per-target weights that express a target feature difference as a
      combination of observed differences with minimal variance proxy
-     ``sum(w^2 / N)``, in closed form ``w = N * diff' V^{-1} diff``
-     (``WeightTable.targets`` in one stacked solve, ``entry`` one at a time);
+     ``sum(w^2 / N)``, in closed form ``w = N * diff' V^{-1} diff`` with no
+     solve (``WeightTable.targets`` stacked, ``entry`` one at a time);
   4. relative-reward estimates ``rhat = sum(w * log-odds(clipped rate))``
      against action 0, and per-state argmax selection with uniform tie
      resolution.
@@ -40,14 +40,14 @@ from .instances import (
     empirical_proportions,
     observed_differences,
     outside_span,
-    span_rows,
+    span_svd,
     span_witness,
 )
 from .rng import integers, stream_keys
 
-# Smallest admissible eigenvalue of V relative to its trace.  V is positive
-# definite on the observed span by construction; anything smaller signals a
-# rank bug rather than an edge case worth papering over.
+# Smallest admissible eigenvalue of V (a squared singular value) relative to its
+# trace.  V is positive definite on the observed span by construction; anything
+# smaller signals a rank bug rather than an edge case worth papering over.
 V_DEGENERACY_RTOL = 1e-12
 
 
@@ -80,19 +80,20 @@ class WeightEntry:
 
     target: tuple[int, int, int]
     weights: np.ndarray  # aligned with WeightTable.pairs
-    gamma: float  # sum(w^2 / N) = |coords|^2 in the V^{-1} norm
+    gamma: float  # sum(w^2 / N) = |coords / s|^2, the V^{-1} norm of the target
 
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Shared geometry for weight computations over one consistent observed schedule."""
+    """Shared geometry of one consistent observed schedule, in whitened coordinates:
+    in ``basis`` and divided by ``scale``, where ``V`` is the identity."""
 
     pairs: np.ndarray  # (m, 3) observed (k, i < j)
     masses: np.ndarray  # (m,) schedule values
-    diff_coords: np.ndarray  # (m, r) observed differences in basis coords
+    diff_coords: np.ndarray  # (m, r) whitened observed differences, U[:, :r] / sqrt(N)
     basis: np.ndarray  # (r, d) orthonormal rows spanning the observed differences
-    V: np.ndarray  # (r, r)
-    target_coords: np.ndarray  # (S, A, r) coords of features[k, i] - features[k, 0]
+    scale: np.ndarray  # (r,) singular values of the sqrt(N)-weighted differences
+    target_coords: np.ndarray  # (S, A, r) whitened features[k, i] - features[k, 0]
 
     def entry(self, target: tuple[int, int, int], features: np.ndarray) -> WeightEntry:
         """Weights and gamma of one target: the per-target reference for ``targets``."""
@@ -109,14 +110,14 @@ class WeightTable:
                 f"target difference {target} lies outside the observed span",
                 witness=(int(k), int(i), int(j)),
             )
-        solved = np.linalg.solve(self.V, coords)
-        weights = self.masses * (self.diff_coords @ solved)
+        whitened = coords / self.scale
+        weights = self.masses * (self.diff_coords @ whitened)
         return WeightEntry(target=(int(k), int(i), int(j)), weights=weights,
-                           gamma=float(coords @ solved))
+                           gamma=float(whitened @ whitened))
 
     def targets(self, features: np.ndarray, ks, iz, js) -> tuple[np.ndarray, np.ndarray]:
-        """``V^{-1}`` solves (t, r) and gammas (t,) of the targets f[k, i] − f[k, j]: one stacked
-        pass of ``entry``'s products, solve and span refusal; gammas keep their bits."""
+        """Whitened coordinates (t, r) and gammas (t,) of the targets f[k, i] − f[k, j]: one
+        stacked pass of ``entry``'s products and span refusal; gammas keep their bits."""
         S, A = features.shape[:2]
         index = np.stack([ks, iz, js], axis=-1)
         bad = np.flatnonzero(((index < 0) | (index >= (S, A, A))).any(axis=-1))
@@ -131,9 +132,8 @@ class WeightTable:
             raise InconsistencyError(
                 f"target difference {target} lies outside the observed span", witness=target
             )
-        solved = np.linalg.solve(np.broadcast_to(self.V, (len(tdiff), *self.V.shape)),
-                                 coords.transpose(0, 2, 1))
-        return solved[:, :, 0], (coords @ solved)[:, 0, 0]
+        whitened = coords / self.scale
+        return whitened[:, 0], (whitened @ whitened.transpose(0, 2, 1))[:, 0, 0]
 
     def entry_dict(self, entry: WeightEntry) -> dict[tuple[int, int, int], float]:
         return {
@@ -152,7 +152,10 @@ class EstimateReport:
 
 
 def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
-    lo = 1.0 / (1.0 + math.exp(2 * L))
+    try:
+        lo = 1.0 / (1.0 + math.exp(2 * L))
+    except OverflowError:  # L past ~354.9, where exp(-2L) / (1 + exp(-2L)) rounds to exp(-2L)
+        lo = math.exp(-2 * L)
     hi = 1.0 / (1.0 + math.exp(-2 * L))
     return np.minimum(np.maximum(values, lo), hi)
 
@@ -169,26 +172,16 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     return SuccessRates.of(data.pairs, data.wins / data.counts, L)
 
 
-def build_design_matrix(coords: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Mass-weighted Gram matrix of observed differences given in basis
-    coordinates; refuses a numerically singular one."""
-    V = (coords * masses[:, None]).T @ coords
-    V = (V + V.T) / 2
-    smallest = float(np.linalg.eigvalsh(V)[0]) if V.size else 0.0
-    if smallest <= V_DEGENERACY_RTOL * max(np.trace(V), 1e-300):
-        raise NumericalError(
-            f"design matrix is numerically singular (lambda_min={smallest})"
-        )
-    return V
-
-
 def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
-    """Span basis, design matrix and target coordinates of a schedule's
-    observed differences.  Refuses a schedule whose observed span misses some
-    pairwise difference, reporting the first offending triple, always
-    (k, 0, i); see ``instances.span_witness``."""
-    pairs, diffs, masses = observed_differences(features, schedule)
-    basis = span_rows(diffs).copy()
+    """Whitened geometry from one SVD ``diag(sqrt(N)) @ diffs = U diag(s) basis``
+    (``instances.span_svd``): observed coordinates ``U / sqrt(N)``, target
+    coordinates divided by ``s``.  Refuses a schedule whose observed span misses
+    some pairwise difference, reporting the first offending triple, always
+    (k, 0, i) (see ``instances.span_witness``), and a numerically singular ``V``."""
+    pairs, weighted, masses = observed_differences(features, schedule)
+    root = np.sqrt(masses)
+    weighted *= root[:, None]  # in place: observed_differences returns a fresh array
+    u, s, basis = span_svd(weighted)
     basis.flags.writeable = False
     # One projection of the S·(A−1) differences against action 0 gives the
     # estimation targets and the witness test.
@@ -201,17 +194,13 @@ def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTabl
         )
     if pairs.shape[0] == 0:
         raise ValidationError("schedule observes no pairs; span is empty")
-    if basis.shape[0] == 0:
+    if s.size == 0:
         raise ValidationError("observed differences are all zero")
-    coords = diffs @ basis.T
-    return WeightTable(
-        pairs=pairs,
-        masses=masses,
-        diff_coords=coords,
-        basis=basis,
-        V=build_design_matrix(coords, masses),
-        target_coords=target_coords,
-    )
+    if s[-1] ** 2 <= V_DEGENERACY_RTOL * np.sum(s**2):  # V = diag(s^2) in the basis
+        raise NumericalError(f"design matrix is numerically singular (lambda_min={s[-1] ** 2})")
+    target_coords /= s
+    return WeightTable(pairs=pairs, masses=masses, diff_coords=u / root[:, None],
+                       basis=basis, scale=s, target_coords=target_coords)
 
 
 def local_weights_qp_oracle(
@@ -221,7 +210,7 @@ def local_weights_qp_oracle(
 
     Solves min sum(u^2 / N) subject to the reconstruction constraint with a
     single least-squares solve of the stationarity/feasibility block system.
-    Independent of the basis/Gram-matrix code path; intended for tests.
+    Independent of the whitened-basis code path; intended for tests.
     """
     k, i, j = target
     pairs, diffs, masses = observed_differences(features, schedule)
@@ -272,17 +261,16 @@ def estimate_relative_rewards(
 
     ``rates`` holds one row of m rates, giving (S, A) estimates, or a stack
     (..., m) of rows on the same pairs, giving (..., S, A).  The fast path
-    folds the weight computation into one global vector ``g = V^{-1} sum(N *
-    coords * log-odds)`` per row and evaluates each target as a dot product;
-    its products and solve make, row by row, the matrix-vector BLAS and
-    LAPACK calls of a single row, so a row of a stack has the bits of its own
-    call.  The slow path materialises per-target weights and serves as the
-    reference.  Both agree to float precision.
+    folds the weight computation into one global vector ``g = diff_coords' (N *
+    log-odds)`` per row (``V`` is the identity in whitened coordinates) and
+    evaluates each target as a dot product; its batched products make, row by
+    row, the BLAS calls of a single row, so a row of a stack has the bits of
+    its own call.  The slow path materialises per-target weights and serves as
+    the reference.  Both agree to float precision.
     """
     log_odds = _pair_log_odds(rates, table)
     if fast_path:
-        b = np.matmul(table.diff_coords.T, (table.masses * log_odds)[..., None])
-        g = np.linalg.solve(np.broadcast_to(table.V, b.shape[:-2] + table.V.shape), b)
+        g = np.matmul(table.diff_coords.T, (table.masses * log_odds)[..., None])
         return (table.target_coords @ g[..., None, :, :])[..., 0]
     S, A, _ = features.shape
     rhat = np.zeros(log_odds.shape[:-1] + (S, A))

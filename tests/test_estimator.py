@@ -1,5 +1,6 @@
-"""Estimation pipeline: clipping, basis, design matrix, weights, estimates."""
+"""Estimation pipeline: clipping, basis, whitening, weights, estimates."""
 
+import dataclasses
 import math
 import re
 import time
@@ -12,7 +13,6 @@ from lowpref import (
     NumericalError,
     PreferenceDataset,
     ValidationError,
-    build_design_matrix,
     build_weight_table,
     empirical_proportions,
     estimate_relative_rewards,
@@ -23,7 +23,8 @@ from lowpref import (
     select_best_actions,
     success_rates,
 )
-from lowpref.estimator import SuccessRates, WeightTable, dataset_inputs
+from lowpref.estimator import SuccessRates, dataset_inputs
+from lowpref.instances import observed_differences
 from lowpref.baseline import MleFit, mle_select
 from lowpref.rng import stream_keys
 from conftest import COMMITTED, oracle_integer, oracle_key, random_consistent_instance
@@ -58,6 +59,25 @@ class TestClip:
         expected = 1 / (1 + math.exp(2))
         assert abs(clip_rate(0.05, 1.0) - expected) < 1e-12
         assert abs(expected - 0.119203) < 1e-6
+
+    def test_bounds_keep_their_bits_where_exp_is_finite(self):
+        # 2L up to 709.78 keeps exp(2L) finite; there the band is 1/(1 + exp(±2L)).
+        for L in np.concatenate([np.linspace(0.0, 354.89, 4001), [354.891]]).tolist():
+            assert clip_rate(0.0, L).hex() == (1.0 / (1.0 + math.exp(2 * L))).hex()
+            assert clip_rate(1.0, L).hex() == (1.0 / (1.0 + math.exp(-2 * L))).hex()
+
+    def test_reward_bound_past_exp_overflow(self, wide_gap):
+        # From L = 354.9 on exp(2L) overflows; the lower bound is exp(−2L),
+        # to which exp(−2L) / (1 + exp(−2L)) rounds, and is still above 0 at 360.
+        for L in (354.9, 360.0):
+            assert clip_rate(0.0, L) == math.exp(-2 * L) > 0
+            assert clip_rate(1.0, L) == 1.0
+        data = sample_dataset(wide_gap, 10, seed=1)
+        assert data.wins.tolist() == [0]  # action 1 wins every record
+        report = rl_low(data, wide_gap.features, wide_gap.reward_bound)
+        # exp(−720) is subnormal, so its log carries an error near 1e-12.
+        assert report.rhat[0, 1] == pytest.approx(720.0, abs=1e-9)
+        assert report.selections.tolist() == [1]
 
 
 class TestSuccessRates:
@@ -180,28 +200,56 @@ class TestSpanBasis:
 
 
 class TestDesignMatrix:
+    """The mass-weighted Gram matrix V of the observed differences is
+    diag(scale²) in the table's basis, and the identity in its whitened
+    coordinates."""
+
     def test_t1(self, t1):
-        V = build_weight_table(t1.schedule, t1.features).V
-        assert V.shape == (1, 1)
-        assert abs(V[0, 0] - 1.0) < 1e-12
+        scale = build_weight_table(t1.schedule, t1.features).scale
+        assert scale.shape == (1,)
+        assert abs(scale[0] ** 2 - 1.0) < 1e-12
 
     def test_t2_pools_masses(self, t2):
-        V = build_weight_table(t2.schedule, t2.features).V
-        assert abs(V[0, 0] - 1.0) < 1e-12
+        scale = build_weight_table(t2.schedule, t2.features).scale
+        assert abs(scale[0] ** 2 - 1.0) < 1e-12
 
     def test_scaling_linearity(self, paper_instance):
         v = paper_instance
         table = build_weight_table(v.schedule, v.features)
-        V1 = table.V
-        V2 = build_design_matrix(table.diff_coords, table.masses * 0.35)
-        assert np.max(np.abs(V2 - 0.35 * V1)) < 1e-12
+        scaled = build_weight_table(np.asarray(v.schedule) * 0.35, v.features)
+        assert np.max(np.abs(scaled.scale**2 - 0.35 * table.scale**2)) < 1e-12
 
-    def test_degenerate_basis_rejected(self, t1):
-        # A two-vector "basis" for a one-dimensional span makes V singular.
-        fake = np.array([[1.0], [1.0]]) / math.sqrt(2)
-        table = build_weight_table(t1.schedule, t1.features)
-        with pytest.raises(NumericalError):
-            build_design_matrix(observed_diffs(t1, table) @ fake.T, table.masses)
+    def test_whitened_coordinates_reproduce_v(self, paper_instance):
+        rng = np.random.default_rng(19)
+        instances = [paper_instance] + [random_consistent_instance(rng) for _ in range(20)]
+        for v in instances:
+            table = build_weight_table(v.schedule, v.features)
+            coords = observed_diffs(v, table) @ table.basis.T
+            V = (coords * table.masses[:, None]).T @ coords
+            size = max(1.0, float(np.trace(V)))
+            assert np.max(np.abs(V - np.diag(table.scale**2))) < 1e-12 * size
+            assert np.max(np.abs(table.diff_coords * table.scale - coords)) < 1e-12 * size
+            whitened = table.diff_coords * table.masses[:, None] ** 0.5
+            assert np.max(np.abs(whitened.T @ whitened - np.eye(len(table.scale)))) < 1e-12
+            telescoped = v.features - v.features[:, :1]
+            assert np.max(np.abs(table.target_coords * table.scale
+                                 - telescoped @ table.basis.T)) < 1e-12 * size
+
+    def test_degenerate_schedule_rejected(self):
+        # Two observed differences, (−1, 0) and (−1, −eps): both directions are
+        # in the rank, but V's smallest eigenvalue is below 1e-12 of its trace.
+        schedule = np.zeros((1, 3, 3))
+        schedule[0, 0, 1] = schedule[0, 0, 2] = 0.5
+        for eps, refused in ((1e-7, True), (1e-5, False)):
+            features = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, eps]]])
+            weighted = observed_differences(features, schedule)[1] * 0.5**0.5
+            sigma = np.linalg.svd(weighted, compute_uv=False)
+            if refused:
+                assert 1e-9 < sigma[1] / sigma[0] < 1e-6
+                with pytest.raises(NumericalError, match="numerically singular"):
+                    build_weight_table(schedule, features)
+            else:
+                assert build_weight_table(schedule, features).scale.shape == (2,)
 
 
 class TestLocalWeights:
@@ -361,28 +409,30 @@ class TestEstimates:
         table = build_weight_table(schedule, v.features)
         rhat1 = estimate_relative_rewards(rates, table, v.features)
 
+        # Another whitening of another basis: a random rotation of the span
+        # basis, whitened by the Cholesky factor L of its own V = L L' rather
+        # than by the SVD.  The fast path reads only the two coordinate arrays.
         rng = np.random.default_rng(0)
         r = table.basis.shape[0]
         q, _ = np.linalg.qr(rng.normal(size=(r, r)))
         rotated = q @ table.basis
         coords = observed_diffs(v, table) @ rotated.T
-        table2 = WeightTable(
-            pairs=table.pairs,
-            masses=table.masses,
-            diff_coords=coords,
-            basis=rotated,
-            V=build_design_matrix(coords, table.masses),
-            target_coords=(v.features - v.features[:, :1]) @ rotated.T,
+        lower = np.linalg.cholesky((coords * table.masses[:, None]).T @ coords)
+        whiten = np.linalg.inv(lower).T
+        table2 = dataclasses.replace(
+            table,
+            diff_coords=coords @ whiten,
+            target_coords=(v.features - v.features[:, :1]) @ rotated.T @ whiten,
         )
         rhat2 = estimate_relative_rewards(rates, table2, v.features)
         assert np.max(np.abs(rhat1 - rhat2)) < 1e-9
 
 
 def _estimate_oracle(clipped, table):
-    """One row's fast-path estimate by the per-row arithmetic: a gemv, a
-    vector solve and one matrix-vector product per state."""
+    """One row's fast-path estimate by the per-row arithmetic: a gemv and one
+    matrix-vector product per state."""
     log_odds = np.log(clipped) - np.log1p(-clipped)
-    g = np.linalg.solve(table.V, table.diff_coords.T @ (table.masses * log_odds))
+    g = table.diff_coords.T @ (table.masses * log_odds)
     return table.target_coords @ g
 
 
@@ -486,14 +536,14 @@ class TestStackedTargets:
 
     @staticmethod
     def _assert_matches_entry(table, features, ks, iz, js):
-        solved, gamma = table.targets(features, ks, iz, js)
-        assert solved.shape == (len(ks), table.V.shape[0]) and gamma.shape == (len(ks),)
+        whitened, gamma = table.targets(features, ks, iz, js)
+        assert whitened.shape == (len(ks), table.scale.size) and gamma.shape == (len(ks),)
         for t, target in enumerate(zip(ks.tolist(), iz.tolist(), js.tolist())):
             entry = table.entry(target, features)
             k, i, j = target
             coords = (features[k, i] - features[k, j]) @ table.basis.T
-            assert solved[t].tobytes() == np.linalg.solve(table.V, coords).tobytes()
-            weights = table.masses * (table.diff_coords @ solved[t])
+            assert whitened[t].tobytes() == (coords / table.scale).tobytes()
+            weights = table.masses * (table.diff_coords @ whitened[t])
             assert weights.tobytes() == entry.weights.tobytes()
             assert float(gamma[t]).hex() == entry.gamma.hex()
 

@@ -37,7 +37,7 @@ from lowpref.instances import (
     observed_differences,
     outside_span,
     sampling_plan,
-    span_rows,
+    span_svd,
 )
 from conftest import COMMITTED, random_consistent_instance
 
@@ -229,7 +229,7 @@ def _pairwise_scan_witness(features, schedule):
     """The consistency check as it was first written: every difference
     features[k, i] - features[k, j], i < j, in (k, i, j) order."""
     _, observed, _ = observed_differences(features, schedule)
-    rows = span_rows(observed)
+    rows = span_svd(observed)[2]
     S, A, _ = features.shape
     iu, ju = np.triu_indices(A, k=1)
     bad = np.argwhere(outside_span(features[:, iu] - features[:, ju], rows))
@@ -502,10 +502,36 @@ class TestPerPairDataset:
         ([0, 0, 1, 2], r"^record 2: winner_is_first is 2, must be 0 or 1$"),
         ([-1, 0, 1, 0], r"^record 2: state index -1 is negative$"),
         ([0, -2, 1, 0], r"^record 2: action index -2 is negative$"),
+        # The tally's flat key (k·T + i)·T + j, T = 1 + the largest second index,
+        # must fit in int64: T = 3,037,000,500 gives T² > 2**63 − 1 alone.
+        ([2**62, 0, 1, 1], r"^record 2: indices \(4611686018427387904, 0, 1\) overflow the pair key$"),
+        ([0, 0, 3_037_000_499, 1], r"^record 2: indices \(0, 0, 3037000499\) overflow the pair key$"),
+        ([1, 0, 2**31, 1], r"^record 2: indices \(1, 0, 2147483648\) overflow the pair key$"),
     ])
     def test_from_records_names_the_bad_row(self, record, reason):
         with pytest.raises(ValidationError, match=reason):
             PreferenceDataset.from_records([[0, 0, 1, 1], [0, 0, 2, 0], record], n=3)
+
+    def test_largest_key_that_fits_is_tallied(self):
+        data = PreferenceDataset.from_records([[0, 0, 3_037_000_498, 1], [0, 0, 1, 0]], n=2)
+        assert data.pairs.tolist() == [[0, 0, 1], [0, 0, 3_037_000_498]]
+        assert data.counts.tolist() == [1, 1] and data.wins.tolist() == [0, 1]
+
+    def test_shuffled_tally_matches_a_dict_oracle(self):
+        v = load_instance(next(p for p in COMMITTED if p.stem == "S4-A100-d8-seed7"))
+        data = sample_dataset(v, 20 * v.num_actions**2, seed=2)
+        records = np.random.default_rng(3).permutation(data.records)
+        assert not np.array_equal(records, data.records)
+        tally = {}
+        for k, i, j, won in records.tolist():
+            counts = tally.setdefault((k, i, j), [0, 0])
+            counts[0] += 1
+            counts[1] += won
+        got = PreferenceDataset.from_records(records, data.n)
+        assert len(records) == 217_800 and got.n == data.n
+        assert got.pairs.tolist() == [list(key) for key in sorted(tally)]
+        assert got.counts.tolist() == [tally[key][0] for key in sorted(tally)]
+        assert got.wins.tolist() == [tally[key][1] for key in sorted(tally)]
 
     def test_records_round_trip_field_for_field(self, paper_instance):
         other = random_consistent_instance(np.random.default_rng(5))
