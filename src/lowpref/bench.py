@@ -10,7 +10,8 @@ Identical configurations reproduce identical tables, except for the
 recorded wall-clock column, which is measurement, not output.  Every
 cell's ``wall_ms`` is 1/R of its (algorithm, n) batch: the seeds, win
 counts, noise, estimates or fits, selections or policy searches, and
-regrets of all R repetitions.  The per-n sampling plan and weight table
+regrets of all R repetitions, and the batch's rows share that one float,
+which ``to_csv`` formats once.  The per-n sampling plan and weight table
 are built before the clock starts.
 """
 
@@ -20,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +102,11 @@ class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        lines = ["algo,n,rep,seed,regret,wall_ms"]
+        lines, last, wall = ["algo,n,rep,seed,regret,wall_ms"], object(), ""
         for r in self.rows:
-            lines.append(
-                f"{r.algo},{r.n},{r.rep},{r.seed},{r.regret!r},{r.wall_ms!r}"
-            )
+            if r.wall_ms is not last:  # a batch's rows share one float: one repr
+                last, wall = r.wall_ms, repr(r.wall_ms)
+            lines.append(f"{r.algo},{r.n},{r.rep},{r.seed},{r.regret!r},{wall}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -126,6 +128,7 @@ class ResultTable:
                 (algo not in ALGORITHMS, f"algorithm {algo!r} is unknown"),
                 (row.n < 1, f"n = {row.n} is below 1"),
                 (row.rep < 0, f"rep = {row.rep} is negative"),
+                (not 0 <= row.seed < 2**64, f"seed {row.seed} is outside [0, 2**64)"),
                 (not math.isfinite(row.regret), f"regret {row.regret} is not finite"),
                 (not 0 <= row.wall_ms < math.inf, f"wall_ms {wall} is not finite and non-negative"),
             ):
@@ -263,10 +266,9 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
         regrets = simple_regret(v, select_best_actions(scores, tie_seeds)[0])
     data_seeds, regrets = data_seeds.tolist(), regrets.tolist()
     wall_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
-    return [
-        ResultRow(algo=algo, n=n, rep=rep, seed=seed, regret=regret, wall_ms=wall_ms)
-        for rep, (seed, regret) in enumerate(zip(data_seeds, regrets))
-    ]
+    R = cfg.repetitions
+    return list(map(ResultRow, repeat(algo, R), repeat(n, R), range(R), data_seeds, regrets,
+                    repeat(wall_ms, R)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -275,12 +277,10 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     kernel = None
     if cfg.kernel_path is not None:
         kernel = load_kernel(cfg.kernel_path, (v.num_states, v.num_actions))
-    rows = [
-        row
-        for algo in cfg.algorithms
-        for n in cfg.n_grid
-        for row in _run_cells(v, kernel, cfg, algo, n)
-    ]
+    rows = []
+    for algo in cfg.algorithms:
+        for n in cfg.n_grid:
+            rows += _run_cells(v, kernel, cfg, algo, n)
     return ResultTable(rows=rows)
 
 

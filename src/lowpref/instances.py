@@ -510,5 +510,7 @@ def load_dataset(path: str | Path) -> PreferenceDataset:
             rows = [_record(path, line, row) for line, row in numbered]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    return PreferenceDataset.from_records(rows, n=max(len(rows), 1),
+    if not rows:
+        raise ValidationError(f"{path} has no records")
+    return PreferenceDataset.from_records(rows, n=len(rows),
                                           where=lambda index: f"{path} line {numbered[index][0]}")

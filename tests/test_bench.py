@@ -1,5 +1,6 @@
 """Experiment harness: seeding, determinism, summaries, artifact output."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -345,6 +346,8 @@ class TestOutputs:
         ("bogus,20,0,5,0.25,1.5", "algorithm 'bogus' is unknown"),
         ("mle,0,0,5,0.25,1.5", "n = 0 is below 1"),
         ("mle,20,-1,5,0.25,1.5", "rep = -1 is negative"),
+        ("rl_low,20,0,-1,0.25,1.5", "seed -1 is outside [0, 2**64)"),
+        (f"rl_low,20,0,{2**64},0.25,1.5", f"seed {2**64} is outside [0, 2**64)"),
         ("rl_low,20,0,5,0.25,-0.5", "wall_ms -0.5 is not finite and non-negative"),
         ("rl_low,20,0,5,0.25,inf", "wall_ms inf is not finite and non-negative"),
         ("rl_low,20,0,5,0.25,nan", "wall_ms nan is not finite and non-negative"),
@@ -354,6 +357,11 @@ class TestOutputs:
         path.write_text("algo,n,rep,seed,regret,wall_ms\nrl_low,20,0,5,0.25,1.5\n" + row + "\n")
         with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path} line 3: {reason}')}$"):
             ResultTable.from_csv(path)
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(f"algo,n,rep,seed,regret,wall_ms\nrl_low,20,0,{2**64 - 1},0.25,1.5\n")
+        assert ResultTable.from_csv(path).rows[0].seed == 2**64 - 1
 
     def test_csv_header(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "out"))
@@ -393,3 +401,62 @@ class TestOutputs:
         assert strip_wall(paths_a["results"]) == strip_wall(paths_b["results"])
         assert open(paths_a["summary"]).read() == open(paths_b["summary"]).read()
         assert open(paths_a["plot"]).read() == open(paths_b["plot"]).read()
+
+
+def _reference_csv(rows) -> str:
+    """results.csv as one f-string per row, every field formatted anew."""
+    lines = ["algo,n,rep,seed,regret,wall_ms"]
+    lines += [f"{r.algo},{r.n},{r.rep},{r.seed},{r.regret!r},{r.wall_ms!r}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvBytes:
+    """``to_csv`` formats ``wall_ms`` once per run of rows sharing one float
+    object; the bytes equal a per-row reference f-string for any rows."""
+
+    def assert_reference_bytes(self, rows, tmp_path):
+        path = tmp_path / "results.csv"
+        ResultTable(rows=rows).to_csv(path)
+        assert path.read_text() == _reference_csv(rows)
+
+    def test_run_experiment_table(self, tmp_path):
+        rows = run_experiment(small_config(algorithms=("rl_low", "mle"))).rows
+        batches = {(r.algo, r.n): r.wall_ms for r in rows}
+        assert all(r.wall_ms is batches[r.algo, r.n] for r in rows)  # one float per batch
+        self.assert_reference_bytes(rows, tmp_path)
+
+    def test_loaded_table(self, tmp_path):
+        cfg = small_config(out_dir=str(tmp_path / "out"))
+        table = run_experiment(cfg)
+        written = emit_outputs(summarize(table), table, cfg)["results"]
+        loaded = ResultTable.from_csv(written)
+        self.assert_reference_bytes(loaded.rows, tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == open(written, "rb").read()
+
+    def test_equal_but_distinct_wall_objects(self, tmp_path):
+        first, second = float("1.25"), float("1.25")
+        assert first == second and first is not second
+        self.assert_reference_bytes(
+            [ResultRow("rl_low", 20, 0, 5, 0.5, first), ResultRow("rl_low", 20, 1, 6, 0.25, second),
+             ResultRow("rl_low", 20, 2, 7, 0.0, first)], tmp_path)
+
+    def test_one_float_shared_across_batches(self, tmp_path):
+        shared, other = 1 / 3, 2 / 3
+        rows = [ResultRow(algo, n, rep, 10 * n + rep, rep / 7, shared)
+                for algo, n in (("rl_low", 20), ("mle", 20), ("rl_low", 40))
+                for rep in range(3)]
+        rows.insert(4, ResultRow("mle", 20, 9, 1, 0.5, other))
+        self.assert_reference_bytes(rows, tmp_path)
+
+    def test_negative_zero_wall(self, tmp_path):
+        rows = [ResultRow("rl_low", 20, 0, 5, 0.5, 0.0), ResultRow("rl_low", 20, 1, 5, 0.5, -0.0),
+                ResultRow("rl_low", 20, 2, 5, -0.0, 0.0)]
+        self.assert_reference_bytes(rows, tmp_path)
+        assert (tmp_path / "results.csv").read_text().splitlines()[2].endswith(",-0.0")
+
+    def test_rows_are_dataclasses_that_replace_accepts(self):
+        rows = run_experiment(small_config()).rows
+        assert all(type(r) is ResultRow and dataclasses.is_dataclass(r) for r in rows)
+        row = rows[0]
+        assert dataclasses.replace(row, regret=0.5) == ResultRow(
+            row.algo, row.n, row.rep, row.seed, 0.5, row.wall_ms)

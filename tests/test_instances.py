@@ -458,6 +458,12 @@ class TestFiles:
         with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path} line 4: {reason}')}$"):
             load_dataset(path)
 
+    def test_header_only_dataset_is_refused_by_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("state,first,second,winner_is_first\n\n")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path} has no records')}$"):
+            load_dataset(path)
+
     def test_malformed_instance_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"S": 1, "A": 2}))
