@@ -1,10 +1,12 @@
 """Experiment harness: seeding, determinism, summaries, artifact output."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,3 +462,45 @@ class TestCsvBytes:
         row = rows[0]
         assert dataclasses.replace(row, regret=0.5) == ResultRow(
             row.algo, row.n, row.rep, row.seed, 0.5, row.wall_ms)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+README_SWEEP = {
+    "instance": {"generator": {"S": 2, "A": 10, "d": 5, "seed": 7}},
+    "n_grid": [50, 100, 150, 200, 250, 300, 350, 400],
+    "repetitions": 200,
+    "algorithms": ["rl_low", "dp_rl_low", "mle", "rl_low_mdp"],
+    "privacy": {"epsilon": 0.9, "delta": 0.2},
+    "master_seed": 42,
+    "kernel": str(DATA / "kernel_dirichlet2024.json"),
+}
+
+
+def readme_sweep_digest(out_dir) -> dict:
+    """The README config plus ``rl_low_mdp`` on the Dirichlet-2024 kernel, run
+    into ``out_dir``: sha256 of ``results.csv`` without its ``wall_ms`` column,
+    of ``summary.json`` and of ``regret.svg``, and every (algorithm, n) mean as
+    a ``repr``.  ``tests/data/readme_sweep_digest.json`` holds its value."""
+    cfg = config_from_dict({**README_SWEEP, "out_dir": str(out_dir)})
+    table = run_experiment(cfg)
+    summary = summarize(table)
+    paths = emit_outputs(summary, table, cfg)
+    csv = b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                   for line in Path(paths["results"]).read_bytes().splitlines())
+    return {
+        "results_without_wall_ms": hashlib.sha256(csv).hexdigest(),
+        "summary": hashlib.sha256(Path(paths["summary"]).read_bytes()).hexdigest(),
+        "plot": hashlib.sha256(Path(paths["plot"]).read_bytes()).hexdigest(),
+        "means": {f"{e['algo']},{e['n']}": repr(e["mean"]) for e in summary},
+    }
+
+
+def test_readme_sweep_matches_committed_digest(tmp_path):
+    """The README sweep's outputs are pinned: a change that moves a regret
+    row must update the digest and say which rows moved and why."""
+    want = json.loads((DATA / "readme_sweep_digest.json").read_text())
+    got = readme_sweep_digest(tmp_path)
+    moved = {cell: (got["means"].get(cell), mean) for cell, mean in want["means"].items()
+             if got["means"].get(cell) != mean}
+    assert not moved, moved
+    assert got == want
