@@ -253,7 +253,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
                                                 v.features, v.reward_bound).theta_hat
                            for row in won])
     else:
-        rates = SuccessRates.of(table.pairs, won / counts, v.reward_bound)
+        rates = SuccessRates(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = stream_keys(cfg.master_seed, algo, n, reps, "noise")
             rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])

@@ -2,8 +2,7 @@
 
 Given a dataset of pairwise comparisons, the pipeline is
 
-  1. empirical success rates per observed pair, clipped to the interval the
-     bounded-reward model allows;
+  1. empirical success rates per observed pair;
   2. one SVD of the observed differences with rows scaled by ``sqrt(N)``
      (``build_weight_table``, which refuses an inconsistent schedule), whose
      whitened coordinates make the mass-weighted Gram matrix ``V`` the identity;
@@ -11,8 +10,9 @@ Given a dataset of pairwise comparisons, the pipeline is
      combination of observed differences with minimal variance proxy
      ``sum(w^2 / N)``, in closed form ``w = N * diff' V^{-1} diff`` with no
      solve (``WeightTable.targets`` stacked, ``entry`` one at a time);
-  4. relative-reward estimates ``rhat = sum(w * log-odds(clipped rate))``
-     against action 0, and per-state argmax selection with uniform tie
+  4. relative-reward estimates ``rhat = sum(w * y)`` against action 0, where
+     ``y`` is a pair's log-odds clipped to the band ``[-2L, 2L]`` that the
+     reward bound L allows, and per-state argmax selection with uniform tie
      resolution.
 
 ``rl_low``, ``dp_rl_low`` and the cells of ``bench.run_experiment`` all run
@@ -27,7 +27,6 @@ Estimates targeted at different pairs are additive (``rhat[i,j] + rhat[j,l]
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +56,16 @@ class SuccessRates:
 
     The arrays are aligned with ``pairs``, the observed (k, i < j) triples
     in ``np.argwhere`` order, which is also the order of
-    ``WeightTable.pairs``.  ``clipped`` is ``raw`` clamped to the band that
-    the reward bound ``clip_bound`` permits; after the Gaussian mechanism
-    ``raw`` may leave [0, 1].  ``run_experiment`` stacks the rates of all
-    repetitions as (R, m) rows on the same pairs and estimates them at once.
+    ``WeightTable.pairs``.  After the Gaussian mechanism ``raw`` may leave
+    [0, 1].  The reward bound ``clip_bound`` = L clips each pair's log-odds
+    to ``[-2L, 2L]`` when the rates are estimated.  ``run_experiment`` stacks
+    the rates of all repetitions as (R, m) rows on the same pairs and
+    estimates them at once.
     """
 
     pairs: np.ndarray  # (m, 3)
     raw: np.ndarray  # (m,)
-    clipped: np.ndarray  # (m,)
     clip_bound: float
-
-    @classmethod
-    def of(cls, pairs: np.ndarray, raw: np.ndarray, L: float) -> "SuccessRates":
-        """Rates ``raw`` on ``pairs``, clipped for reward bound ``L``."""
-        return cls(pairs=pairs, raw=raw, clipped=_clip_array(raw, L), clip_bound=L)
 
 
 @dataclass(frozen=True)
@@ -151,17 +145,8 @@ class EstimateReport:
     tie_sets: list[list[int]]
 
 
-def _clip_array(values: np.ndarray, L: float) -> np.ndarray:
-    try:
-        lo = 1.0 / (1.0 + math.exp(2 * L))
-    except OverflowError:  # L past ~354.9, where exp(-2L) / (1 + exp(-2L)) rounds to exp(-2L)
-        lo = math.exp(-2 * L)
-    hi = 1.0 / (1.0 + math.exp(-2 * L))
-    return np.minimum(np.maximum(values, lo), hi)
-
-
 def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> SuccessRates:
-    """Per-pair win rates of the lower-indexed action, with clipping.
+    """Per-pair win rates of the lower-indexed action.
 
     ``schedule`` must be the empirical proportions of ``data``; passing the
     design schedule of an instance is an error because the rates divide by
@@ -169,7 +154,7 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
     """
     if not np.array_equal(schedule, empirical_proportions(data, schedule.shape[:2])):
         raise ValidationError("schedule does not match the dataset's proportions")
-    return SuccessRates.of(data.pairs, data.wins / data.counts, L)
+    return SuccessRates(data.pairs, data.wins / data.counts, L)
 
 
 def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
@@ -241,14 +226,18 @@ def local_weights_qp_oracle(
 def _pair_log_odds(rates: SuccessRates, table: WeightTable) -> np.ndarray:
     if rates.pairs is not table.pairs and not np.array_equal(rates.pairs, table.pairs):
         raise ValidationError("rates and weight table cover different pairs")
-    values = rates.clipped
-    # min/max rather than np.any(values <= 0): the same per-element check at
-    # a third of the cost.
-    if values.min() <= 0 or values.max() >= 1:
-        raise NumericalError("clipped rate of 0 or 1 reached the log-odds")
-    # log(b) - log(1-b) rather than log(b/(1-b)): no cancellation near the
-    # clip bounds.
-    return np.log(values) - np.log1p(-values)
+    # A rate at or below 0 has log-odds -inf and one at or above 1 +inf, so
+    # clipping in log space gives exactly -2L and 2L at the ends for any L.
+    # log(b) - log1p(-b) rather than log(b/(1-b)): no cancellation near 0 or
+    # 1.  np.maximum/np.minimum with out= cost less than np.clip.
+    rate = np.maximum(rates.raw, 0.0)
+    np.minimum(rate, 1.0, out=rate)
+    with np.errstate(divide="ignore"):
+        log_odds = np.log(rate)
+        log_odds -= np.log1p(np.negative(rate, out=rate), out=rate)
+    bound = 2.0 * rates.clip_bound
+    np.maximum(log_odds, -bound, out=log_odds)
+    return np.minimum(log_odds, bound, out=log_odds)
 
 
 def estimate_relative_rewards(
@@ -314,7 +303,7 @@ def dataset_inputs(
     difference outside the observed span, reporting the offending triple.
     """
     schedule = empirical_proportions(data, features.shape[:2])
-    rates = SuccessRates.of(data.pairs, data.wins / data.counts, L)
+    rates = SuccessRates(data.pairs, data.wins / data.counts, L)
     return schedule, rates, build_weight_table(schedule, features)
 
 

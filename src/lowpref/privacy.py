@@ -77,7 +77,7 @@ def gaussian_mechanism(
     pairs = rates.pairs
     stds = noise_scale(n, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]], privacy)
     noisy = rates.raw + _draw_noise(seed, pairs, stds)
-    return SuccessRates.of(pairs, noisy, rates.clip_bound)
+    return SuccessRates(pairs, noisy, rates.clip_bound)
 
 
 def dp_rl_low(

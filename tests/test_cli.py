@@ -137,6 +137,25 @@ def test_sample_with_gap_past_exp_range(tmp_path, wide_gap, capsys):
     assert (tmp_path / "data.csv").read_text().splitlines()[1:] == ["0,0,1,0"] * 10
 
 
+@pytest.mark.parametrize("theta, best", [(20.0, 1), (-20.0, 0)])
+def test_mdp_at_reward_bound_20_exits_0(tmp_path, theta, best, capsys):
+    # One pair with rewards -theta and theta and L = 20: one action wins all
+    # 10 records, so the pair's log-odds clip to exactly +-40 in both
+    # orientations.
+    schedule = np.zeros((1, 2, 2))
+    schedule[0, 0, 1] = 1.0
+    path = tmp_path / "one_pair.json"
+    save_instance(make_instance(np.array([[[-1.0], [1.0]]]), [theta], [1.0], schedule, 20.0),
+                  path)
+    (tmp_path / "kernel.json").write_text(json.dumps({"P": [[[1.0], [1.0]]]}))
+    assert main(["sample", "--instance", str(path), "--n", "10", "--seed", "1",
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    capsys.readouterr()
+    assert main(["mdp", "--instance", str(path), "--kernel", str(tmp_path / "kernel.json"),
+                 "--dataset", str(tmp_path / "data.csv")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"policy": [best], "regret": 0.0}
+
+
 def test_non_finite_kernel_exits_2(mdp_args, capsys):
     kernel_path = mdp_args[4]
     payload = json.loads(open(kernel_path).read())

@@ -1,9 +1,11 @@
-"""Estimation pipeline: clipping, basis, whitening, weights, estimates."""
+"""Estimation pipeline: clipped log-odds, basis, whitening, weights, estimates."""
 
 import dataclasses
 import math
 import re
 import time
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -18,22 +20,22 @@ from lowpref import (
     estimate_relative_rewards,
     load_instance,
     local_weights_qp_oracle,
+    make_instance,
     rl_low,
     sample_dataset,
     select_best_actions,
     success_rates,
 )
-from lowpref.estimator import SuccessRates, dataset_inputs
+from lowpref.estimator import SuccessRates, _pair_log_odds, dataset_inputs
 from lowpref.instances import observed_differences
 from lowpref.baseline import MleFit, mle_select
 from lowpref.rng import stream_keys
 from conftest import COMMITTED, oracle_integer, oracle_key, random_consistent_instance
 
 
-def make_rates(table, clipped, L=1.0):
-    """Rates on the table's pairs, taken as already clipped."""
-    clipped = np.asarray(clipped, dtype=float)
-    return SuccessRates(pairs=table.pairs, raw=clipped, clipped=clipped, clip_bound=L)
+def make_rates(table, raw, L=1.0):
+    """Rates on the table's pairs for a reward bound of L."""
+    return SuccessRates(table.pairs, np.asarray(raw, dtype=float), L)
 
 
 def observed_diffs(v, table):
@@ -41,42 +43,76 @@ def observed_diffs(v, table):
     return v.features[pairs[:, 0], pairs[:, 1]] - v.features[pairs[:, 0], pairs[:, 2]]
 
 
-def clip_rate(b, L):
-    """The pipeline's clip of one success rate for a reward bound of L."""
-    return float(SuccessRates.of(np.zeros((1, 3), dtype=np.int64), np.array([b]), L).clipped[0])
+def log_odds(raw, L):
+    """The pipeline's clipped log-odds of rates ``raw`` for a reward bound of L."""
+    raw = np.asarray(raw, dtype=float)
+    pairs = np.tile([0, 0, 1], (raw.size, 1))
+    return _pair_log_odds(SuccessRates(pairs, raw, L), types.SimpleNamespace(pairs=pairs))
+
+
+# Reward bounds around the old rate band's faults: 7.65 (the relabelling
+# instance), 18 and 18.5 (where 1/(1 + exp(-2L)) rounded near and then to 1)
+# and 354.9 and 360 (where exp(2L) overflows).
+BOUNDS = (1.0, 7.65, 18.0, 18.5, 20.0, 354.9, 360.0)
 
 
 class TestClip:
+    """The one log-odds step: log(b) − log1p(−b) of the raw rate, clipped to
+    [−2L, 2L] in log space, so the ends are exact for every reward bound."""
+
     def test_identity_region(self):
-        assert clip_rate(0.5, 1.0) == 0.5
+        # Inside the band the clip leaves the log-odds' bits alone.
+        raw = np.linspace(0.12, 0.88, 1001)
+        want = np.log(raw) - np.log1p(-raw)
+        assert log_odds(raw, 1.0).tobytes() == want.tobytes()
+        assert log_odds([0.5], 1.0).tolist() == [0.0]
 
     def test_upper_bound(self):
-        expected = math.exp(2) / (1 + math.exp(2))
-        assert abs(clip_rate(0.95, 1.0) - expected) < 1e-12
-        assert abs(expected - 0.880797) < 1e-6
+        # A rate at or above 1 (the Gaussian mechanism can leave [0, 1]).
+        for L in BOUNDS:
+            assert log_odds([1.0, 1.3], L).tolist() == [2 * L] * 2
+        assert log_odds([0.95], 1.0).tolist() == [2.0]
 
     def test_lower_bound(self):
-        expected = 1 / (1 + math.exp(2))
-        assert abs(clip_rate(0.05, 1.0) - expected) < 1e-12
-        assert abs(expected - 0.119203) < 1e-6
+        for L in BOUNDS:
+            assert log_odds([0.0, -0.3, -0.0], L).tolist() == [-2 * L] * 3
+        assert log_odds([0.05], 1.0).tolist() == [-2.0]
 
-    def test_bounds_keep_their_bits_where_exp_is_finite(self):
-        # 2L up to 709.78 keeps exp(2L) finite; there the band is 1/(1 + exp(±2L)).
-        for L in np.concatenate([np.linspace(0.0, 354.89, 4001), [354.891]]).tolist():
-            assert clip_rate(0.0, L).hex() == (1.0 / (1.0 + math.exp(2 * L))).hex()
-            assert clip_rate(1.0, L).hex() == (1.0 / (1.0 + math.exp(-2 * L))).hex()
+    def test_ends_mirror_for_every_bound(self):
+        ends = np.array([0.0, -0.3, 1e-300, 0.05])
+        grid = np.concatenate([np.linspace(0.0, 360.0, 4001), BOUNDS]).tolist()
+        for L in grid:
+            high = log_odds(1 - ends[:2], L)
+            assert high.tolist() == (-log_odds(ends[:2], L)).tolist() == [2 * L] * 2
+        assert log_odds(1 - ends, 1.0).tolist() == (-log_odds(ends, 1.0)).tolist()
+
+    def test_no_runtime_warning_at_or_past_the_ends(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for L in BOUNDS:
+                got = log_odds([0.0, 1.0, -0.3, 1.3], L)
+                assert got.tolist() == [-2 * L, 2 * L, -2 * L, 2 * L]
+
+    def test_one_pair_estimates_exactly_twice_the_bound(self):
+        # Features -1 and 1 with rewards -theta and theta: the better action
+        # wins all 10 records, in either orientation, and rl_low puts action
+        # 1 at exactly +-2L.
+        schedule = np.zeros((1, 2, 2))
+        schedule[0, 0, 1] = 1.0
+        for L in BOUNDS[1:]:
+            for theta in (L, -L):
+                v = make_instance(np.array([[[-1.0], [1.0]]]), [theta], [1.0], schedule, L)
+                data = sample_dataset(v, 10, seed=1)
+                assert data.wins.tolist() == [10 * (theta < 0)]
+                report = rl_low(data, v.features, L)
+                assert report.rhat[0].tolist() == [0.0, math.copysign(2 * L, theta)]
+                assert report.selections.tolist() == [int(theta > 0)]
 
     def test_reward_bound_past_exp_overflow(self, wide_gap):
-        # From L = 354.9 on exp(2L) overflows; the lower bound is exp(−2L),
-        # to which exp(−2L) / (1 + exp(−2L)) rounds, and is still above 0 at 360.
-        for L in (354.9, 360.0):
-            assert clip_rate(0.0, L) == math.exp(-2 * L) > 0
-            assert clip_rate(1.0, L) == 1.0
         data = sample_dataset(wide_gap, 10, seed=1)
         assert data.wins.tolist() == [0]  # action 1 wins every record
         report = rl_low(data, wide_gap.features, wide_gap.reward_bound)
-        # exp(−720) is subnormal, so its log carries an error near 1e-12.
-        assert report.rhat[0, 1] == pytest.approx(720.0, abs=1e-9)
+        assert report.rhat[0, 1] == 720.0
         assert report.selections.tolist() == [1]
 
 
@@ -108,7 +144,8 @@ class TestSuccessRates:
         data = PreferenceDataset.from_records(records, n=5)
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, L=1.0)
-        assert rates.clipped[0] == pytest.approx(math.exp(2) / (1 + math.exp(2)))
+        assert rates.raw.tolist() == [1.0]
+        assert _pair_log_odds(rates, types.SimpleNamespace(pairs=rates.pairs)).tolist() == [2.0]
 
     def test_schedule_mismatch_rejected(self, t1):
         data = sample_dataset(t1, 5, seed=0)
@@ -133,7 +170,6 @@ class TestSuccessRates:
             assert got_schedule.tobytes() == schedule.tobytes()
             assert np.array_equal(got.pairs, want.pairs)
             assert got.raw.tobytes() == want.raw.tobytes()
-            assert got.clipped.tobytes() == want.clipped.tobytes()
             assert got.clip_bound == want.clip_bound
 
     @pytest.mark.parametrize(
@@ -377,19 +413,22 @@ class TestEstimates:
             v = random_consistent_instance(rng)
             rewards = v.rewards()
             table = build_weight_table(v.schedule, v.features)
-            clipped = [
+            planted = [
                 1.0 / (1.0 + math.exp(rewards[k, j] - rewards[k, i]))
                 for k, i, j in table.pairs
             ]
-            rhat = estimate_relative_rewards(make_rates(table, clipped), table, v.features)
+            rates = make_rates(table, planted, v.reward_bound)
+            rhat = estimate_relative_rewards(rates, table, v.features)
             expected = rewards - rewards[:, :1]
             assert np.max(np.abs(rhat - expected)) < 1e-9
 
-    def test_degenerate_rate_rejected_by_log(self, t1):
+    def test_degenerate_rate_gives_twice_the_bound(self, t1):
+        # t1's reward bound is 1: the lower-indexed action winning every
+        # record (rate 1) or none (rate 0) puts action 1 at exactly -2 or 2.
         table = build_weight_table(t1.schedule, t1.features)
-        for rate in (1.0, 0.0):  # a raw rate that somehow skipped clipping
-            with pytest.raises(NumericalError):
-                estimate_relative_rewards(make_rates(table, [rate]), table, t1.features)
+        for rate, want in ((1.0, -2.0), (0.0, 2.0)):
+            rates = make_rates(table, [rate], t1.reward_bound)
+            assert estimate_relative_rewards(rates, table, t1.features)[0, 1] == want
 
     def test_rates_on_other_pairs_rejected(self, tri):
         full = build_weight_table(tri.schedule, tri.features)
@@ -428,11 +467,10 @@ class TestEstimates:
         assert np.max(np.abs(rhat1 - rhat2)) < 1e-9
 
 
-def _estimate_oracle(clipped, table):
-    """One row's fast-path estimate by the per-row arithmetic: a gemv and one
-    matrix-vector product per state."""
-    log_odds = np.log(clipped) - np.log1p(-clipped)
-    g = table.diff_coords.T @ (table.masses * log_odds)
+def _estimate_oracle(rates, table):
+    """One row's fast-path estimate by the per-row arithmetic: the pipeline's
+    log-odds, then a gemv and one matrix-vector product per state."""
+    g = table.diff_coords.T @ (table.masses * _pair_log_odds(rates, table))
     return table.target_coords @ g
 
 
@@ -450,7 +488,7 @@ def _select_oracle(rhat, tie_seed):
 
 def _stacked_rates(table, rng, shape, L):
     raw = rng.uniform(0.02, 0.98, size=shape + (len(table.pairs),))
-    return SuccessRates.of(table.pairs, raw, L)
+    return SuccessRates(table.pairs, raw, L)
 
 
 class TestStackedOracle:
@@ -460,11 +498,11 @@ class TestStackedOracle:
     @staticmethod
     def _assert_rows_match(rates, table, features):
         stacked = estimate_relative_rewards(rates, table, features)
-        assert stacked.shape == rates.clipped.shape[:-1] + features.shape[:2]
-        for index in np.ndindex(rates.clipped.shape[:-1]):
-            want = _estimate_oracle(rates.clipped[index], table)
+        assert stacked.shape == rates.raw.shape[:-1] + features.shape[:2]
+        for index in np.ndindex(rates.raw.shape[:-1]):
+            row = SuccessRates(table.pairs, rates.raw[index], rates.clip_bound)
+            want = _estimate_oracle(row, table)
             assert stacked[index].tobytes() == want.tobytes()
-            row = SuccessRates.of(table.pairs, rates.raw[index], rates.clip_bound)
             assert estimate_relative_rewards(row, table, features).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
@@ -494,7 +532,7 @@ class TestStackedOracle:
         slow = estimate_relative_rewards(rates, table, v.features, fast_path=False)
         assert slow.shape == fast.shape == (4, 2, 2, 10)
         assert np.max(np.abs(fast - slow)) < 1e-10
-        row = SuccessRates.of(table.pairs, rates.raw[1, 0], v.reward_bound)
+        row = SuccessRates(table.pairs, rates.raw[1, 0], v.reward_bound)
         single = estimate_relative_rewards(row, table, v.features, fast_path=False)
         assert np.max(np.abs(single - slow[1, 0])) < 1e-12
 

@@ -1,6 +1,7 @@
 """Gaussian mechanism calibration, label-freeness, and private pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lowpref import (
     build_weight_table,
     dp_rl_low,
     empirical_proportions,
+    estimate_relative_rewards,
     gaussian_mechanism,
     rl_low,
     sample_dataset,
@@ -33,7 +35,7 @@ def stacked_draws(rates, schedule, n, draws):
     """Noise of ``draws`` mechanism calls with seeds 0, 1, ..., one row per
     seed: one call on stacked rates with a seed column gives the draws that
     one call per seed gives."""
-    stacked = SuccessRates.of(rates.pairs, np.tile(rates.raw, (draws, 1)), rates.clip_bound)
+    stacked = SuccessRates(rates.pairs, np.tile(rates.raw, (draws, 1)), rates.clip_bound)
     perturbed = gaussian_mechanism(stacked, schedule, n, PRIVACY, np.arange(draws)[:, None])
     return perturbed.raw - rates.raw
 
@@ -80,7 +82,7 @@ class TestMechanism:
         perturbed = gaussian_mechanism(rates, schedule, 100, PRIVACY, seed=1)
         assert np.array_equal(perturbed.pairs, rates.pairs)
         assert np.array_equal(perturbed.raw, rates.raw)
-        assert np.array_equal(perturbed.clipped, rates.clipped)
+        assert perturbed.clip_bound == rates.clip_bound
 
     def test_balanced_rate_with_zero_noise_stays_balanced(self, t1, monkeypatch):
         records = np.asarray([[0, 0, 1, 1]] * 50 + [[0, 0, 1, 0]] * 50)
@@ -89,7 +91,7 @@ class TestMechanism:
         rates = success_rates(data, schedule, t1.reward_bound)
         monkeypatch.setattr(privacy_mod, "_draw_noise", zero_noise)
         perturbed = gaussian_mechanism(rates, schedule, 100, PRIVACY, seed=0)
-        assert perturbed.clipped[0] == 0.5
+        assert perturbed.raw[0] == 0.5
 
     def test_complement_orientation(self, t1):
         data, schedule, rates = self._rates(t1)
@@ -97,9 +99,26 @@ class TestMechanism:
         # One noisy rate per pair, for the lower-indexed action: the reverse
         # orientation is its complement by construction, never drawn apart.
         assert perturbed.pairs.tolist() == [[0, 0, 1]] and perturbed.raw.shape == (1,)
-        lo = 1 / (1 + math.exp(2))
-        hi = math.exp(2) / (1 + math.exp(2))
-        assert lo <= perturbed.clipped[0] <= hi
+        table = build_weight_table(schedule, t1.features)
+        assert -2.0 <= estimate_relative_rewards(perturbed, table, t1.features)[0, 1] <= 2.0
+
+    def test_rates_past_zero_and_one_give_twice_the_bound(self, t1, wide_gap):
+        # At n = 10 the noise std is about 0.21, so it carries many rates of
+        # 0 below 0 and of 1 above 1.  Their log-odds are -inf and +inf, which
+        # clip to exactly -2L and 2L, without a RuntimeWarning.
+        for v in (t1, wide_gap):
+            L = v.reward_bound
+            table = build_weight_table(v.schedule, v.features)
+            rates = SuccessRates(table.pairs, np.repeat([[0.0], [1.0]], 200, axis=0), L)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                noisy = gaussian_mechanism(rates, v.schedule, 10, PRIVACY,
+                                           np.arange(400)[:, None])
+                rhat = estimate_relative_rewards(noisy, table, v.features)[:, 0, 1]
+            below, above = noisy.raw[:, 0] < 0, noisy.raw[:, 0] > 1
+            assert below.sum() > 50 and above.sum() > 50
+            assert rhat[below].tolist() == [2 * L] * below.sum()
+            assert rhat[above].tolist() == [-2 * L] * above.sum()
 
     def test_empirical_std_calibration(self, t1):
         data, schedule, rates = self._rates(t1)
