@@ -234,8 +234,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
 
     Per-pair record counts are deterministic ceilings, so only the winners
     vary between repetitions, and the rates algorithms share one schedule
-    and weight table.  Two steps go row by row: ``mle`` fits, each its own
-    Newton loop, and ``rl_low_mdp`` policy searches, each over A^S values.
+    and weight table.  Only the ``mle`` fits go row by row, each its own Newton loop.
     """
     pairs, counts, p_first = sampling_plan(v, n)
     if algo != "mle":
@@ -259,9 +258,8 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
             rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])
         scores = estimate_relative_rewards(rates, table, v.features)
     if algo == "rl_low_mdp":
-        policies = [mdp_policy_search(row, kernel, v.rho, tie_seed=seed)
-                    for row, seed in zip(scores, tie_seeds.tolist())]
-        regrets = mdp_regret(v, kernel, np.array(policies))
+        policies = mdp_policy_search(scores, kernel, v.rho, tie_seed=tie_seeds)
+        regrets = mdp_regret(v, kernel, policies)
     else:
         regrets = simple_regret(v, select_best_actions(scores, tie_seeds)[0])
     data_seeds, regrets = data_seeds.tolist(), regrets.tolist()

@@ -108,26 +108,23 @@ def stationary_distribution(kernel: TransitionKernel, policy, rho: np.ndarray) -
 
 def _cesaro_projector(P: np.ndarray) -> np.ndarray:
     """Limit matrices of the time averages of a stack (..., S, S) of chains, by lazy-kernel
-    squaring.  P's own storage is the working stack, so P is overwritten.  A chain leaves
-    the loop once it converges, so each keeps the bits of its own call."""
-    M = P.reshape(-1, *P.shape[-2:])
-    np.multiply(np.add(M, np.eye(M.shape[-1]), out=M), 0.5, out=M)
-    nxt, live, n = np.empty_like(M), np.arange(len(M)), len(M)
+    squaring.  A chain leaves the loop once it converges, so each keeps the bits of its
+    own call; P is left as it is."""
+    M = (P.reshape(-1, *P.shape[-2:]) + np.eye(P.shape[-1])) * 0.5
+    out, at = np.empty_like(M), np.arange(len(M))
     for _ in range(64):
-        np.matmul(M[:n], M[:n], out=nxt[:n])
+        nxt = M @ M
         # Rounding drifts the row sums and every squaring doubles the drift;
         # renormalising keeps M stochastic so a near miss of the stop test
         # cannot run away to inf.
-        nxt[:n] /= nxt[:n].sum(axis=2, keepdims=True)
-        done = np.abs(np.subtract(nxt[:n], M[:n], out=M[:n]), out=M[:n]).max(axis=(1, 2)) <= 1e-13
-        # Live chains move to the front of M, converged ones park behind them.
-        order = np.argsort(done, kind="stable")
-        np.take(nxt[:n], order, axis=0, out=M[:n], mode="clip")
-        live[:n] = live[order]
-        n -= np.count_nonzero(done)
-        if not n:
-            nxt[live] = M
-            return nxt.reshape(P.shape)
+        nxt /= nxt.sum(axis=2, keepdims=True)
+        done = np.abs(np.subtract(nxt, M, out=M), out=M).max(axis=(1, 2)) <= 1e-13
+        if done.any():
+            out[at[done]] = nxt[done]
+            nxt, at = nxt[~done], at[~done]
+        if not at.size:
+            return out.reshape(P.shape)
+        M = nxt
     raise NumericalError("Cesaro projector did not converge in 64 squarings")
 
 
@@ -137,7 +134,7 @@ def _evaluate_policy(
     """Gain and bias of a policy under the average-reward criterion."""
     at = np.arange(len(policy)), np.asarray(policy, dtype=np.int64)
     P_pi, r_pi = kernel.P[at], rewards[at]
-    proj, eye = _cesaro_projector(P_pi.copy()), np.eye(len(policy))
+    proj, eye = _cesaro_projector(P_pi), np.eye(len(policy))
     # Gain proj r; bias through the deviation operator (I - P + proj)^{-1} (I - proj).
     return proj @ r_pi, np.linalg.solve(eye - P_pi + proj, (eye - proj) @ r_pi)
 
@@ -153,8 +150,9 @@ def policy_objective(
 
 def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarray):
     """Every policy as a row, in lexicographic order, and a float64 array of their
-    ``policy_objective``s.  Occupancy, free of the rewards, is built once per (kernel, rho)."""
-    if np.shape(rewards) != kernel.P.shape[:2]:
+    ``policy_objective``s: (Π,) for rewards (S, A), (..., Π) for a stack (..., S, A).
+    Occupancy, free of the rewards, is built once per (kernel, rho)."""
+    if np.shape(rewards)[-2:] != kernel.P.shape[:2]:
         raise ValidationError(f"rewards shape {np.shape(rewards)} != (S, A) {kernel.P.shape[:2]}")
     cache, rho = kernel._occupancy, np.array(rho, dtype=np.float64)
     if not np.array_equal(cache.get("rho"), rho):
@@ -163,9 +161,9 @@ def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarra
             raise ValidationError(f"policy space A^S = {A}^{S} exceeds the enumeration cap")
         policies = np.indices((A,) * S).reshape(S, -1).T
         cache.update(rho=rho, policies=policies, mu=stationary_distribution(kernel, policies, rho))
-    r_pi = rewards[np.arange(rewards.shape[0]), cache["policies"]]
+    r_pi = rewards[..., np.arange(rewards.shape[-2]), cache["policies"]]
     # One ddot per row, as ``policy_objective``'s ``float(occupancy @ r_pi)``.
-    return cache["policies"], np.matmul(cache["mu"][:, None, :], r_pi[:, :, None])[:, 0, 0]
+    return cache["policies"], np.matmul(cache["mu"][:, None, :], r_pi[..., None])[..., 0, 0]
 
 
 def _search_iterate(
@@ -201,34 +199,37 @@ def _search_iterate(
     raise NumericalError("policy iteration did not converge")
 
 
-def mdp_policy_search(
-    rhat: np.ndarray,
-    kernel: TransitionKernel,
-    rho: np.ndarray,
-    mode: str = "enumerate",
-    tie_seed: int | None = None,
-) -> Policy:
-    """Policy maximising the occupancy-weighted estimated reward.
-
-    ``enumerate`` (the default) is exhaustive and serves as the reference
-    oracle; ties break lexicographically unless a tie_seed is given, in which
-    case ``select_best_actions`` draws the winner among the tied policies, as
-    one row of values.  ``iterate`` runs average-reward policy iteration, must
-    agree with it, ignores tie_seed.  A non-finite estimate is refused.
-    """
-    if np.shape(rhat) != kernel.P.shape[:2]:
-        raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {kernel.P.shape[:2]}")
+def mdp_policy_search(rhat: np.ndarray, kernel: TransitionKernel, rho: np.ndarray,
+                      mode: str = "enumerate", tie_seed=None) -> Policy | np.ndarray:
+    """Policy maximising the occupancy-weighted estimated reward: a tuple for one
+    estimate (S, A), policy rows (..., S) for a stack (..., S, A), each row with the bits
+    of its own call.  ``enumerate`` (the default) is exhaustive, the reference oracle, and
+    runs a stack in row blocks holding at most one capped search's values.  Ties break
+    lexicographically unless a tie_seed (one, or an array over the leading axes) is given:
+    ``select_best_actions`` then draws among the tied policies, one row of values per
+    estimate.  ``iterate`` runs policy iteration on one estimate, must agree with it, and
+    ignores tie_seed.  A non-finite estimate is refused."""
+    (S, A), lead = kernel.P.shape[:2], np.shape(rhat)[:-2]
+    if np.shape(rhat)[-2:] != (S, A):
+        raise ValidationError(f"rewards shape {np.shape(rhat)} != (S, A) {S, A}")
     check_finite(rhat, "rhat")
-    _check_rho(rho, kernel.P.shape[0])
+    _check_rho(rho, S)
     if mode == "iterate":
+        if lead:
+            raise ValidationError(f"policy iteration takes one estimate, not {np.shape(rhat)}")
         return _search_iterate(kernel, rhat)
     if mode != "enumerate":
         raise ValidationError(f"unknown policy search mode: {mode}")
-    policies, values = _policy_values(kernel, rhat, rho)
-    # The values as a stack of one row: the draw of ``values[None]``, without its tie-set list.
-    best = np.argmax(values) if tie_seed is None else \
-        select_best_actions(values[None, None], tie_seed)[0][0, 0]
-    return tuple(policies[best].tolist())
+    stack, rows = np.reshape(rhat, (-1, S, A)), np.empty((*lead, S), dtype=np.int64)
+    seeds = np.broadcast_to(tie_seed, lead).reshape(-1) if np.ndim(tie_seed) else None
+    step = max(1, ENUMERATION_CAP // A**S)
+    for lo in range(0, len(stack), step):
+        policies, values = _policy_values(kernel, stack[lo:lo + step], rho)
+        # A scalar seed reaches select_best_actions as it is, which masks any Python int.
+        best = np.argmax(values, axis=-1) if tie_seed is None else select_best_actions(
+            values[:, None], tie_seed if seeds is None else seeds[lo:lo + step])[0][:, 0]
+        rows.reshape(-1, S)[lo:lo + step] = policies[best]
+    return rows if lead else tuple(rows.tolist())
 
 
 def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, int]:

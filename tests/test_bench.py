@@ -234,30 +234,31 @@ class TestRunExperiment:
     def test_one_batch_per_algorithm_and_n(self, tmp_path, monkeypatch):
         """Every algorithm selects and scores all repetitions of an (algorithm,
         n) in one call each: the rates algorithms estimate them in one call too,
-        mle builds no weight table, and rl_low_mdp scores its policy rows in one
-        ``mdp_regret`` call instead of a static selection."""
+        mle builds no weight table, and rl_low_mdp searches its estimates in one
+        ``mdp_policy_search`` call and scores the policy rows in one ``mdp_regret``
+        call instead of a static selection."""
         P = np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 4))
         kernel_path = tmp_path / "kernel.json"
         kernel_path.write_text(json.dumps({"P": P.tolist()}))
         calls = {}
         for name in ("build_weight_table", "estimate_relative_rewards",
-                     "select_best_actions", "simple_regret", "mdp_regret"):
+                     "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"):
             def counted(*args, _real=getattr(bench, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(bench, name, counted)
         for algo, want in (
-            ("rl_low", (2, 2, 2, 2, 0)),
-            ("dp_rl_low", (2, 2, 2, 2, 0)),
-            ("rl_low_mdp", (2, 2, 0, 0, 2)),
-            ("mle", (0, 0, 2, 2, 0)),
+            ("rl_low", (2, 2, 2, 2, 0, 0)),
+            ("dp_rl_low", (2, 2, 2, 2, 0, 0)),
+            ("rl_low_mdp", (2, 2, 0, 0, 2, 2)),
+            ("mle", (0, 0, 2, 2, 0, 0)),
         ):
             calls.clear()
             run_experiment(small_config(algorithms=(algo,), kernel_path=str(kernel_path),
                                         privacy=PrivacyParams(0.9, 0.2)))
             got = tuple(calls.get(name, 0) for name in (
                 "build_weight_table", "estimate_relative_rewards",
-                "select_best_actions", "simple_regret", "mdp_regret"))
+                "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"))
             assert got == want, algo
 
     def test_exact_binomial_oracle_at_small_scale(self, t1_path):

@@ -92,6 +92,15 @@ class TestCesaroProjector:
         for proj, P in zip(stack, (fast, near, fast)):
             assert proj.tobytes() == _cesaro_projector(P.copy()).tobytes()
 
+    def test_argument_is_left_unchanged(self):
+        near = np.array([[0.9983713721937341, 0.0016286278062660165],
+                         [0.04529044448516321, 0.9547095555148367]])
+        stack = np.stack([np.array([[0.5, 0.5], [0.25, 0.75]]), near])
+        before = stack.tobytes()
+        _cesaro_projector(stack)
+        _cesaro_projector(stack[1])
+        assert stack.tobytes() == before
+
     def test_nan_chain_in_a_stack_raises(self):
         fast = np.array([[0.5, 0.5], [0.25, 0.75]])
         with pytest.raises(NumericalError, match="64 squarings"):
@@ -311,6 +320,69 @@ class TestPolicySearch:
                     assert drawn == tuple(policies[pick].tolist())
                     drawn_later += pick != np.argmax(values)
         assert drawn_later > 0
+
+    def test_stack_rows_are_single_calls_with_ties(self):
+        """Estimates rounded to one decimal, with constant rows among them, tie
+        policies exactly; every stacked row is its own single call, seeded or
+        lexicographic."""
+        S, A = 2, 10
+        kernel = validate_kernel(np.random.default_rng(2024).dirichlet(np.ones(S), size=(S, A)),
+                                 (S, A))
+        rng = np.random.default_rng(67)
+        rho = rng.dirichlet(np.ones(S))
+        rhat = np.round(rng.normal(size=(40, S, A)), 1)
+        rhat[::4] = np.round(rng.normal(size=(10, 1, 1)), 1)
+        seeds = np.arange(40, dtype=np.uint64) * 7919 + 3
+        seeded = mdp_policy_search(rhat, kernel, rho, tie_seed=seeds)
+        lexicographic = mdp_policy_search(rhat, kernel, rho)
+        assert seeded.shape == lexicographic.shape == (40, S)
+        for row, seed, drawn, first in zip(rhat, seeds.tolist(), seeded, lexicographic):
+            assert tuple(drawn.tolist()) == mdp_policy_search(row, kernel, rho, tie_seed=seed)
+            assert tuple(first.tolist()) == mdp_policy_search(row, kernel, rho)
+        assert np.any(seeded != lexicographic)  # some seeded draws pick a later tie
+        grid = mdp_policy_search(rhat[:12].reshape(3, 4, S, A), kernel, rho,
+                                 tie_seed=seeds[:12].reshape(3, 4))
+        assert grid.shape == (3, 4, S)
+        assert np.array_equal(grid.reshape(12, S), seeded[:12])
+        one = mdp_policy_search(rhat[:1], kernel, rho, tie_seed=seeds[:1])
+        assert one.shape == (1, S) and np.array_equal(one, seeded[:1])
+
+    def test_stack_rows_are_single_calls_across_row_blocks(self):
+        # 7^5 = 16,807 policies: a row block holds 10^6 // 16,807 = 59 rows, so
+        # 64 rows run as two blocks.  Self-loops keep the occupancy at rho, and
+        # estimates rounded to whole numbers tie policies exactly.
+        S, A = 5, 7
+        assert ENUMERATION_CAP // A**S == 59
+        kernel, rng = self_loop_kernel(S, A), np.random.default_rng(71)
+        rho = rng.dirichlet(np.ones(S))
+        rhat = np.round(rng.normal(size=(64, S, A)))
+        seeds = rng.integers(0, 2**63, size=64)
+        for tie_seed in (seeds, 11, None):
+            stacked = mdp_policy_search(rhat, kernel, rho, tie_seed=tie_seed)
+            per_row = [mdp_policy_search(row, kernel, rho, tie_seed=seed) for row, seed in
+                       zip(rhat, seeds.tolist() if tie_seed is seeds else [tie_seed] * 64)]
+            assert [tuple(row) for row in stacked.tolist()] == per_row
+
+    def test_stack_refusals(self):
+        kernel = validate_kernel(np.full((2, 3, 2), 0.5), (2, 3))
+        rho, rhat = np.array([0.5, 0.5]), np.zeros((4, 2, 3))
+        with pytest.raises(ValidationError, match=r"policy iteration takes one estimate"):
+            mdp_policy_search(rhat, kernel, rho, "iterate")
+        rhat[2, 1, 0] = np.nan
+        for tie_seed in (None, 3, np.arange(4)):
+            with pytest.raises(ValidationError,
+                               match=r"^rhat has a non-finite entry at index \(2, 1, 0\)$"):
+                mdp_policy_search(rhat, kernel, rho, tie_seed=tie_seed)
+
+    def test_scalar_seed_past_64_bits_is_masked(self):
+        # Self-loops and equal estimates tie all 3^3 = 27 policies.
+        kernel, rho = self_loop_kernel(3, 3), np.full(3, 1 / 3)
+        rhat = np.ones((3, 3))
+        tied = list(itertools.product(range(3), repeat=3))
+        drawn = mdp_policy_search(rhat, kernel, rho, tie_seed=2**64 + 5)
+        assert drawn == mdp_policy_search(rhat, kernel, rho, tie_seed=5)
+        assert drawn == tied[oracle_integer(oracle_key(5, "tie", 0), len(tied))]
+        assert drawn != tied[0]
 
     def test_non_finite_estimate_is_refused_in_both_modes(self):
         kernel = validate_kernel(np.full((2, 3, 2), 0.5), (2, 3))
