@@ -15,8 +15,9 @@ in the mass-weighted squared relative-reward discrepancy has closed form
 ``theta' = theta + (eta / |z|^2_{V^-1}) * V^{-1} z`` and discrepancy
 ``eta^2 / |z|^2_{V^-1}``.  That discrepancy brackets the KL divergence
 between the label laws of the two instances up to factors exponential in
-the maximum absolute reward.  The weight table's SVD gives ``V`` as
-``diag(s^2)`` in its basis, so ``V^{-1} z`` is ``coords / s^2``, lifted.
+the maximum absolute reward.  The weight table's SVD (of a QR's R on tall
+designs) gives ``V`` as ``diag(s^2)`` in its basis, so ``V^{-1} z`` is
+``coords / s^2``, lifted.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .instances import (
 )
 from .privacy import PrivacyParams
 
-# Bytes of the block of weight rows that hardness's pair sums hold at a time.
-PAIR_SUM_BLOCK_BYTES = 2 << 20
+# Bytes of the one block of weight rows that hardness's pair sums reuse.  On the
+# S=4, A=100 instance 2 MiB blocks, fresh per step, set the process's peak RSS.
+PAIR_SUM_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,16 @@ def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessRepor
     """Compute all per-target coefficients and the hardness maxima."""
     table = _consistent_table(v)
     H, argmax, q_member, (keys, solved, gamma, gaps) = _gamma_hardness(v, table)
-    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, from blocks of rows P = w / N.
+    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, from blocks of rows P = w / N;
+    # gamma_dp = |P|^2 = |R_C solved|^2, R_C the r×r triangular factor of diff_coords.
     sums = np.column_stack([gamma, np.empty((len(keys), 3))])
+    sums[:, 2] = np.square(solved @ np.linalg.qr(table.diff_coords, mode="r").T).sum(axis=1)
     step = max(1, PAIR_SUM_BLOCK_BYTES // (8 * table.masses.size))
     scale = np.stack([np.sqrt(table.masses), np.ones_like(table.masses)], axis=1)
+    block = np.empty((min(step, len(keys)), table.masses.size))
     for lo in range(0, len(keys), step):
-        P = solved[lo : lo + step] @ table.diff_coords.T
-        sums[lo : lo + step, 2] = np.einsum("tp,tp->t", P, P)
+        rows = solved[lo : lo + step]
+        P = np.matmul(rows, table.diff_coords.T, out=block[: len(rows)])
         sums[lo : lo + step, 1::2] = np.abs(P, out=P) @ scale
     H_dp = None if privacy is None else float(np.max(
         np.sqrt(math.log(1.25 / privacy.delta) * sums[:, 2]) / (math.sqrt(privacy.epsilon) * gaps)

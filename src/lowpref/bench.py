@@ -30,7 +30,7 @@ from .baseline import mle_fit
 from .errors import ValidationError
 from .estimator import (
     SuccessRates,
-    build_weight_table,
+    _weight_table,
     estimate_relative_rewards,
     select_best_actions,
 )
@@ -45,7 +45,7 @@ from .instances import (
     sampling_plan,
 )
 from .mdp import load_kernel, mdp_policy_search, mdp_regret
-from .privacy import PrivacyParams, gaussian_mechanism
+from .privacy import PrivacyParams, _mechanism
 from .rng import stream_keys
 
 ALGORITHMS = ("rl_low", "dp_rl_low", "mle", "rl_low_mdp")
@@ -233,14 +233,13 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     """The repetitions of one (algorithm, n), every step run once on their stack.
 
     Per-pair record counts are deterministic ceilings, so only the winners
-    vary between repetitions, and the rates algorithms share one schedule
-    and weight table.  Only the ``mle`` fits go row by row, each its own Newton loop.
+    vary between repetitions, and the rates algorithms share one weight
+    table, built from the plan's pairs and masses.  Only the ``mle`` fits go
+    row by row, each its own Newton loop.
     """
     pairs, counts, p_first = sampling_plan(v, n)
     if algo != "mle":
-        schedule = np.zeros_like(v.schedule)
-        schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]] = counts / n
-        table = build_weight_table(schedule, v.features)
+        table = _weight_table(pairs, counts / n, v.features)
     start = time.perf_counter()
     reps = np.arange(cfg.repetitions)
     data_seeds = stream_keys(cfg.master_seed, "data", n, reps)
@@ -255,7 +254,7 @@ def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
         rates = SuccessRates(table.pairs, won / counts, v.reward_bound)
         if algo == "dp_rl_low":
             noise_seeds = stream_keys(cfg.master_seed, algo, n, reps, "noise")
-            rates = gaussian_mechanism(rates, schedule, n, cfg.privacy, noise_seeds[:, None])
+            rates = _mechanism(rates, table.masses, n, cfg.privacy, noise_seeds[:, None])
         scores = estimate_relative_rewards(rates, table, v.features)
     if algo == "rl_low_mdp":
         policies = mdp_policy_search(scores, kernel, v.rho, tie_seed=tie_seeds)

@@ -3,8 +3,8 @@
 Given a dataset of pairwise comparisons, the pipeline is
 
   1. empirical success rates per observed pair;
-  2. one SVD of the observed differences with rows scaled by ``sqrt(N)``
-     (``build_weight_table``, which refuses an inconsistent schedule), whose
+  2. one SVD (of a QR's R on tall designs) of the pair list's differences with
+     rows scaled by ``sqrt(N)``, N = counts / n, no dense schedule made; its
      whitened coordinates make the mass-weighted Gram matrix ``V`` the identity;
   3. per-target weights that express a target feature difference as a
      combination of observed differences with minimal variance proxy
@@ -39,6 +39,7 @@ from .instances import (
     empirical_proportions,
     observed_differences,
     outside_span,
+    pair_differences,
     span_svd,
     span_witness,
 )
@@ -83,8 +84,8 @@ class WeightTable:
     in ``basis`` and divided by ``scale``, where ``V`` is the identity."""
 
     pairs: np.ndarray  # (m, 3) observed (k, i < j)
-    masses: np.ndarray  # (m,) schedule values
-    diff_coords: np.ndarray  # (m, r) whitened observed differences, U[:, :r] / sqrt(N)
+    masses: np.ndarray  # (m,) pair masses N, a dataset's counts / n
+    diff_coords: np.ndarray  # (m, r) whitened differences diffs @ basis.T / scale = U / sqrt(N)
     basis: np.ndarray  # (r, d) orthonormal rows spanning the observed differences
     scale: np.ndarray  # (r,) singular values of the sqrt(N)-weighted differences
     target_coords: np.ndarray  # (S, A, r) whitened features[k, i] - features[k, 0]
@@ -158,14 +159,20 @@ def success_rates(data: PreferenceDataset, schedule: np.ndarray, L: float) -> Su
 
 
 def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTable:
-    """Whitened geometry from one SVD ``diag(sqrt(N)) @ diffs = U diag(s) basis``
-    (``instances.span_svd``): observed coordinates ``U / sqrt(N)``, target
-    coordinates divided by ``s``.  Refuses a schedule whose observed span misses
-    some pairwise difference, reporting the first offending triple, always
+    """``_weight_table`` of a dense (S, A, A) schedule's observed (N > 0) pairs."""
+    pairs = np.argwhere(schedule > 0)
+    return _weight_table(pairs, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]], features)
+
+
+def _weight_table(pairs: np.ndarray, masses: np.ndarray, features: np.ndarray) -> WeightTable:
+    """Whitened geometry of (m, 3) observed pairs with masses N from one factorisation
+    ``diag(sqrt(N)) @ diffs = U diag(s) basis`` (``instances.span_svd``): observed
+    coordinates ``U / sqrt(N)``, target coordinates divided by ``s``.  Refuses pairs whose
+    span misses some pairwise difference, reporting the first offending triple, always
     (k, 0, i) (see ``instances.span_witness``), and a numerically singular ``V``."""
-    pairs, weighted, masses = observed_differences(features, schedule)
+    weighted = pair_differences(features, pairs)
     root = np.sqrt(masses)
-    weighted *= root[:, None]  # in place: observed_differences returns a fresh array
+    weighted *= root[:, None]  # in place: pair_differences returns a fresh array
     u, s, basis = span_svd(weighted)
     basis.flags.writeable = False
     # One projection of the S·(A−1) differences against action 0 gives the
@@ -184,7 +191,12 @@ def build_weight_table(schedule: np.ndarray, features: np.ndarray) -> WeightTabl
     if s[-1] ** 2 <= V_DEGENERACY_RTOL * np.sum(s**2):  # V = diag(s^2) in the basis
         raise NumericalError(f"design matrix is numerically singular (lambda_min={s[-1] ** 2})")
     target_coords /= s
-    return WeightTable(pairs=pairs, masses=masses, diff_coords=u / root[:, None],
+    if u is None:  # a QR-first span_svd forms no U; it is weighted · basisᵀ / s
+        diff_coords = weighted @ (basis.T / s)
+        diff_coords /= root[:, None]
+    else:
+        diff_coords = u / root[:, None]
+    return WeightTable(pairs=pairs, masses=masses, diff_coords=diff_coords,
                        basis=basis, scale=s, target_coords=target_coords)
 
 
@@ -279,32 +291,46 @@ def select_best_actions(
     ``rng.integers``-th tied action of its row, drawn from the (tie seed, "tie", k)
     stream, every tie of the stack at once.  Returns the (..., S) selections
     and, for an (S, A) input, the tied actions of each state; for a stack, None.
-    A non-finite estimate is refused, naming its first index.
+    A non-finite estimate, or a seed array that does not broadcast to the
+    leading axes, is refused by name.
     """
     check_finite(rhat, "rhat")
+    if np.ndim(tie_seed):  # a scalar goes to stream_keys, which masks any Python int
+        tie_seed = _broadcast_seeds(tie_seed, rhat.shape[:-2])
     is_max = rhat == rhat.max(axis=-1, keepdims=True)
     selections, counts = np.argmax(is_max, axis=-1), is_max.sum(axis=-1)
     *rows, ks = tied = np.nonzero(counts > 1)
     if ks.size:  # drawing no tie still costs ~17 us, more than the selection itself
-        if np.ndim(tie_seed):  # a scalar goes to stream_keys, which masks any Python int
-            tie_seed = np.broadcast_to(tie_seed, rhat.shape[:-2])[tuple(rows)]
+        if np.ndim(tie_seed):
+            tie_seed = tie_seed[tuple(rows)]
         draws = integers(stream_keys(tie_seed, "tie", ks), counts[tied])
         selections[tied] = np.argmax(is_max[tied].cumsum(axis=-1) > draws[:, None], axis=-1)
     tie_sets = [np.flatnonzero(m).tolist() for m in is_max] if rhat.ndim == 2 else None
     return selections, tie_sets
 
 
+def _broadcast_seeds(tie_seed, lead: tuple[int, ...]) -> np.ndarray:
+    seeds = np.asarray(tie_seed)
+    if seeds.shape == lead:  # the sweep's seeds fit; np.broadcast_to would cost ~4 us a call
+        return seeds
+    try:
+        return np.broadcast_to(seeds, lead)
+    except ValueError:
+        raise ValidationError(f"tie_seed of shape {np.shape(tie_seed)} does not broadcast "
+                              f"to the estimates' leading axes {lead}") from None
+
+
 def dataset_inputs(
     data: PreferenceDataset, features: np.ndarray, L: float
-) -> tuple[np.ndarray, SuccessRates, WeightTable]:
-    """Empirical schedule, success rates and weight table of a dataset.
+) -> tuple[SuccessRates, WeightTable]:
+    """Success rates and weight table of a dataset's pairs with masses ``counts / n``.
 
-    Refuses datasets whose empirical schedule leaves some pairwise feature
-    difference outside the observed span, reporting the offending triple.
+    Refuses a pair outside the features' (S, A), and pairs whose span misses
+    some pairwise feature difference, reporting the offending triple.
     """
-    schedule = empirical_proportions(data, features.shape[:2])
+    data.check_dims(features.shape[:2])
     rates = SuccessRates(data.pairs, data.wins / data.counts, L)
-    return schedule, rates, build_weight_table(schedule, features)
+    return rates, _weight_table(data.pairs, data.counts / data.n, features)
 
 
 def report_from_rates(
@@ -320,5 +346,5 @@ def rl_low(
     data: PreferenceDataset, features: np.ndarray, L: float, tie_seed: int = 0
 ) -> EstimateReport:
     """End-to-end estimation: rates, weights, relative rewards, selection."""
-    _, rates, table = dataset_inputs(data, features, L)
+    rates, table = dataset_inputs(data, features, L)
     return report_from_rates(rates, table, features, tie_seed)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .analysis import _consistent_table
 from .errors import NumericalError, ValidationError
-from .estimator import dataset_inputs, estimate_relative_rewards, select_best_actions
+from .estimator import (_broadcast_seeds, dataset_inputs, estimate_relative_rewards,
+                        select_best_actions)
 from .instances import Instance, PreferenceDataset, check_finite, read_json
 
 ENUMERATION_CAP = 1_000_000
@@ -159,7 +160,8 @@ def _policy_values(kernel: TransitionKernel, rewards: np.ndarray, rho: np.ndarra
         S, A = kernel.P.shape[:2]
         if A**S > ENUMERATION_CAP:
             raise ValidationError(f"policy space A^S = {A}^{S} exceeds the enumeration cap")
-        policies = np.indices((A,) * S).reshape(S, -1).T
+        # C order: each gathered r_pi row is contiguous, summed as policy_objective's.
+        policies = np.ascontiguousarray(np.indices((A,) * S).reshape(S, -1).T)
         cache.update(rho=rho, policies=policies, mu=stationary_distribution(kernel, policies, rho))
     r_pi = rewards[..., np.arange(rewards.shape[-2]), cache["policies"]]
     # One ddot per row, as ``policy_objective``'s ``float(occupancy @ r_pi)``.
@@ -221,7 +223,7 @@ def mdp_policy_search(rhat: np.ndarray, kernel: TransitionKernel, rho: np.ndarra
     if mode != "enumerate":
         raise ValidationError(f"unknown policy search mode: {mode}")
     stack, rows = np.reshape(rhat, (-1, S, A)), np.empty((*lead, S), dtype=np.int64)
-    seeds = np.broadcast_to(tie_seed, lead).reshape(-1) if np.ndim(tie_seed) else None
+    seeds = _broadcast_seeds(tie_seed, lead).reshape(-1) if np.ndim(tie_seed) else None
     step = max(1, ENUMERATION_CAP // A**S)
     for lo in range(0, len(stack), step):
         policies, values = _policy_values(kernel, stack[lo:lo + step], rho)
@@ -267,7 +269,7 @@ def rl_low_mdp(
     tie_seed: int = 0,
 ) -> Policy:
     """Estimate relative rewards from comparisons, then search for a policy."""
-    _, rates, table = dataset_inputs(data, features, L)
+    rates, table = dataset_inputs(data, features, L)
     rhat = estimate_relative_rewards(rates, table, features)
     return mdp_policy_search(rhat, kernel, rho, tie_seed=tie_seed)
 

@@ -69,15 +69,19 @@ def gaussian_mechanism(
     privacy: PrivacyParams,
     seed,
 ) -> SuccessRates:
-    """Perturb each observed success rate with calibrated Gaussian noise.
+    """Perturb each observed success rate with noise calibrated to its schedule value.
 
     ``seed`` is one seed, or an (R, 1) column of seeds when ``rates`` stacks
     R rows of rates on the same pairs; row r then gets row r's noise.
     """
     pairs = rates.pairs
-    stds = noise_scale(n, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]], privacy)
-    noisy = rates.raw + _draw_noise(seed, pairs, stds)
-    return SuccessRates(pairs, noisy, rates.clip_bound)
+    return _mechanism(rates, schedule[pairs[:, 0], pairs[:, 1], pairs[:, 2]], n, privacy, seed)
+
+
+def _mechanism(rates: SuccessRates, masses, n: int, privacy: PrivacyParams, seed) -> SuccessRates:
+    """``gaussian_mechanism`` with the pairs' masses (m,) in place of the schedule."""
+    noisy = rates.raw + _draw_noise(seed, rates.pairs, noise_scale(n, masses, privacy))
+    return SuccessRates(rates.pairs, noisy, rates.clip_bound)
 
 
 def dp_rl_low(
@@ -94,6 +98,6 @@ def dp_rl_low(
     Gaussian mechanism; the weights are untouched because they never read
     the labels.
     """
-    schedule, rates, table = dataset_inputs(data, features, L)
-    rates = gaussian_mechanism(rates, schedule, data.n, privacy, seed)
+    rates, table = dataset_inputs(data, features, L)
+    rates = _mechanism(rates, table.masses, data.n, privacy, seed)
     return report_from_rates(rates, table, features, tie_seed)

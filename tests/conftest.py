@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowpref import GeneratorConfig, make_instance, make_paper_instance, validate_instance
+from lowpref import (
+    GeneratorConfig,
+    ValidationError,
+    make_instance,
+    make_paper_instance,
+    validate_instance,
+)
+from lowpref.instances import QR_SVD_ENTRIES
 
 # The instances the benchmark runs on.
 COMMITTED = sorted(
@@ -91,6 +98,45 @@ def random_consistent_instance(rng, s_max=3, a_max=4, d_max=4):
             )
         except Exception:
             continue  # measure-zero tie or duplicate; redraw
+
+
+def random_tall_instance(rng, deficient=False):
+    """Random all-pairs instance with S <= 2, A from 30 to 60 and d from 2 to 4:
+    m = S·A(A−1)/2 pairs, whose m·d weighted differences fall on either side of
+    ``QR_SVD_ENTRIES``.  ``deficient`` puts the features in a (d−1)-dimensional
+    subspace, so the observed span has rank r < d."""
+    while True:
+        S, A, d = int(rng.integers(1, 3)), int(rng.integers(30, 61)), int(rng.integers(2, 5))
+        r = d - 1 if deficient else d
+        features = rng.normal(size=(S, A, r)) @ rng.normal(size=(r, d))
+        theta = rng.normal(size=d)
+        schedule, (iu, ju) = np.zeros((S, A, A)), np.triu_indices(A, k=1)
+        schedule[:, iu, ju] = rng.random(size=(S, iu.size)) + 0.1
+        schedule /= schedule.sum()
+        bound = float(np.max(np.abs(features @ theta))) + 0.1
+        try:
+            return validate_instance(
+                make_instance(features, theta, np.full(S, 1.0 / S), schedule, bound)
+            )
+        except ValidationError:
+            continue  # measure-zero tie; redraw
+
+
+def _qr_first(v):
+    """Whether ``span_svd`` factors the instance's weighted differences QR-first."""
+    return len(v.observed_pairs()) * v.dim > QR_SVD_ENTRIES
+
+
+def tall_instances(seed, count=6):
+    """``count`` random tall instances, covering both sides of ``QR_SVD_ENTRIES``,
+    then a rank-deficient one whose design is factored QR-first."""
+    rng = np.random.default_rng(seed)
+    instances = [random_tall_instance(rng) for _ in range(count)]
+    assert {_qr_first(v) for v in instances} == {False, True}
+    deficient = random_tall_instance(rng, deficient=True)
+    while not _qr_first(deficient):
+        deficient = random_tall_instance(rng, deficient=True)
+    return instances + [deficient]
 
 
 def _record_terms(data, features):

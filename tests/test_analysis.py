@@ -1,6 +1,7 @@
 """Hardness coefficients, discrepancy/KL machinery, adversary construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lowpref import (
     suboptimality_gaps,
     validate_kernel,
 )
-from conftest import COMMITTED, random_consistent_instance
+from conftest import COMMITTED, random_consistent_instance, tall_instances
 
 PRIVACY = PrivacyParams(epsilon=0.9, delta=0.2)
 
@@ -416,6 +417,10 @@ class TestHardnessOracle:
         for v in _random_instances(41, 50):
             _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
 
+    def test_tall_designs(self):
+        for v in tall_instances(4):
+            _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
+
 
 class TestAdversaryOracle:
     """lower_bound_adversary against the composition it replaces."""
@@ -450,6 +455,37 @@ class TestAdversaryOracle:
     def test_random_instances(self):
         for v in _random_instances(43, 30):
             self._assert_same_pair(v)
+
+    def test_tall_designs(self):
+        for v in tall_instances(4):
+            self._assert_same_pair(v)
+
+
+class TestTracedPeak:
+    """Traced peak memory of single calls on the committed S=4, A=100 instance,
+    in units of one (m × d) float64 array.  On numpy 2.4.6 they read 2.503
+    (rl_low) and 2.753 (hardness), where a dense-schedule geometry with the
+    SVD's left vectors and 2 MiB pair-sum blocks read 4.098 and 5.061.  The
+    bounds sit half a unit above the readings, so a weight table that keeps
+    one more per-pair array fails."""
+
+    BOUNDS = {"rl_low": 3.0, "hardness": 3.25}
+
+    @pytest.mark.parametrize("call", sorted(BOUNDS))
+    def test_peak_is_bounded(self, call):
+        v = load_instance(next(path for path in COMMITTED if path.stem.startswith("S4-A100")))
+        data = sample_dataset(v, 20 * v.num_actions**2, seed=1)
+        run = {"rl_low": lambda: rl_low(data, v.features, v.reward_bound),
+               "hardness": lambda: hardness(v, PRIVACY)}[call]
+        run()  # the instance caches its gaps
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (len(v.observed_pairs()) * v.dim * 8)
+        assert units <= self.BOUNDS[call], units
 
 
 def test_inconsistent_instance_refused_alike():

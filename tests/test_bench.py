@@ -241,7 +241,7 @@ class TestRunExperiment:
         kernel_path = tmp_path / "kernel.json"
         kernel_path.write_text(json.dumps({"P": P.tolist()}))
         calls = {}
-        for name in ("build_weight_table", "estimate_relative_rewards",
+        for name in ("_weight_table", "estimate_relative_rewards",
                      "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"):
             def counted(*args, _real=getattr(bench, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -257,7 +257,7 @@ class TestRunExperiment:
             run_experiment(small_config(algorithms=(algo,), kernel_path=str(kernel_path),
                                         privacy=PrivacyParams(0.9, 0.2)))
             got = tuple(calls.get(name, 0) for name in (
-                "build_weight_table", "estimate_relative_rewards",
+                "_weight_table", "estimate_relative_rewards",
                 "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"))
             assert got == want, algo
 

@@ -29,7 +29,13 @@ from lowpref.estimator import SuccessRates, _pair_log_odds, dataset_inputs
 from lowpref.instances import observed_differences
 from lowpref.baseline import MleFit, mle_select
 from lowpref.rng import stream_keys
-from conftest import COMMITTED, oracle_integer, oracle_key, random_consistent_instance
+from conftest import (
+    COMMITTED,
+    oracle_integer,
+    oracle_key,
+    random_consistent_instance,
+    tall_instances,
+)
 
 
 def make_rates(table, raw, L=1.0):
@@ -145,8 +151,10 @@ class TestSuccessRates:
             success_rates(data, t1.schedule * 0.5, L=1.0)
 
     def test_dataset_inputs_match_public_composition(self, paper_instance, t1):
-        # dataset_inputs reads the per-pair counts once; its schedule and rates
-        # must be the bytes of empirical_proportions followed by success_rates.
+        # dataset_inputs reads the pair list and masses counts / n, with no
+        # dense schedule; its rates and every field of its weight table must be
+        # the bytes of empirical_proportions followed by success_rates and
+        # build_weight_table.
         rng = np.random.default_rng(31)
         instances = [paper_instance, t1] + [
             random_consistent_instance(rng, s_max=4, a_max=6) for _ in range(20)
@@ -156,13 +164,18 @@ class TestSuccessRates:
             schedule = empirical_proportions(data, (v.num_states, v.num_actions))
             want = success_rates(data, schedule, v.reward_bound)
             try:
-                got_schedule, got, _ = dataset_inputs(data, v.features, v.reward_bound)
+                want_table = build_weight_table(schedule, v.features)
             except InconsistencyError:
-                continue  # an unobserved chain link
-            assert got_schedule.tobytes() == schedule.tobytes()
+                with pytest.raises(InconsistencyError):  # an unobserved chain link
+                    dataset_inputs(data, v.features, v.reward_bound)
+                continue
+            got, table = dataset_inputs(data, v.features, v.reward_bound)
             assert np.array_equal(got.pairs, want.pairs)
             assert got.raw.tobytes() == want.raw.tobytes()
             assert got.clip_bound == want.clip_bound
+            for field in dataclasses.fields(table):
+                assert getattr(table, field.name).tobytes() == \
+                    getattr(want_table, field.name).tobytes(), field.name
 
     @pytest.mark.parametrize(
         "record, reason",
@@ -503,7 +516,7 @@ class TestStackedOracle:
         rng = np.random.default_rng(12)
         for n in ((50, 400) if v.num_actions < 50 else (20_000,)):
             data = sample_dataset(v, n, seed=n)
-            _, _, table = dataset_inputs(data, v.features, v.reward_bound)
+            _, table = dataset_inputs(data, v.features, v.reward_bound)
             rates = _stacked_rates(table, rng, (6,), v.reward_bound)
             self._assert_rows_match(rates, table, v.features)
 
@@ -630,6 +643,43 @@ class TestStackedTargets:
             assert str(err.value) == message
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 table.entry(bad, v.features)
+
+
+class TestTallDesigns:
+    """Designs on both sides of ``QR_SVD_ENTRIES``: past it the weight table's
+    factors come from the SVD of the R of a QR, and U is never formed."""
+
+    def test_factors_are_the_direct_svds(self):
+        instances = tall_instances(3)
+        for v in instances:
+            table = build_weight_table(v.schedule, v.features)
+            _, diffs, masses = observed_differences(v.features, v.schedule)
+            root = np.sqrt(masses)
+            u, s, vh = np.linalg.svd(diffs * root[:, None], full_matrices=False)
+            r = v.dim - (v is instances[-1])  # the last one is rank-deficient
+            assert table.scale.size == r
+            assert table.scale.tobytes() == s[:r].tobytes()
+            assert table.basis.tobytes() == vh[:r].tobytes()
+            want = u[:, :r] / root[:, None]
+            assert np.max(np.abs(table.diff_coords - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_estimates_match_per_target_oracles(self):
+        rng = np.random.default_rng(17)
+        for v in tall_instances(3):
+            data = sample_dataset(v, 20 * v.num_actions**2, seed=v.num_actions)
+            rates, table = dataset_inputs(data, v.features, v.reward_bound)
+            stacked = _stacked_rates(table, rng, (3,), v.reward_bound)
+            TestStackedOracle._assert_rows_match(stacked, table, v.features)
+            fast = estimate_relative_rewards(rates, table, v.features)
+            slow = estimate_relative_rewards(rates, table, v.features, fast_path=False)
+            assert np.max(np.abs(fast - slow)) < 1e-10
+            # Weights N·diff·V⁺·target from the normal equations, free of the factorisation.
+            diffs, masses = observed_diffs(v, table), table.masses
+            gram = (diffs * masses[:, None]).T @ diffs
+            targets = (v.features - v.features[:, :1]).reshape(-1, v.dim)
+            weights = masses[:, None] * (diffs @ np.linalg.pinv(gram, 1e-10) @ targets.T)
+            want = (_pair_log_odds(rates, table) @ weights).reshape(fast.shape)
+            assert np.max(np.abs(fast - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 class TestTransitivity:

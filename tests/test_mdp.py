@@ -1,6 +1,7 @@
 """Occupancy measures, policy search, MDP regret and hardness."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,15 @@ class TestPolicySearch:
         rho, rhat = np.array([0.5, 0.5]), np.zeros((4, 2, 3))
         with pytest.raises(ValidationError, match=r"policy iteration takes one estimate"):
             mdp_policy_search(rhat, kernel, rho, "iterate")
+        # A seed array that does not broadcast to the leading axes is named, as
+        # select_best_actions names it: on a stack, and on one estimate.
+        for estimates, seeds, lead in ((rhat, np.arange(3), (4,)), (rhat[0], np.arange(1), ())):
+            message = (f"tie_seed of shape {seeds.shape} does not broadcast to the "
+                       f"estimates' leading axes {lead}")
+            for call in (lambda: mdp_policy_search(estimates, kernel, rho, tie_seed=seeds),
+                         lambda: select_best_actions(estimates, seeds)):
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    call()
         rhat[2, 1, 0] = np.nan
         for tie_seed in (None, 3, np.arange(4)):
             with pytest.raises(ValidationError,
@@ -458,6 +468,26 @@ class TestEnumerationOracle:
                 kernel = validate_kernel(P, (S, A))
             drawn_later += _check_enumeration(rng, base, kernel, decimals=1)
         assert drawn_later > 0  # some seeded draws pick a tie after the first
+
+    @pytest.mark.parametrize("S", [4, 5])
+    def test_matches_the_oracle_past_three_states(self, S):
+        """At S >= 4 a strided r_pi row would be summed in another order than
+        ``policy_objective``'s contiguous one; every policy value, the search and
+        the regrets keep its bits on the Dirichlet-2024 kernel."""
+        A, d = 3, 3
+        P = np.random.default_rng(2024).dirichlet(np.ones(S), size=(S, A))
+        kernel = validate_kernel(P, (S, A))
+        rng = np.random.default_rng(S)
+        schedule, (iu, ju) = np.zeros((S, A, A)), np.triu_indices(A, k=1)
+        schedule[:, iu, ju] = 1.0 / (S * iu.size)
+        base = make_instance(rng.normal(size=(S, A, d)), np.zeros(d), np.full(S, 1 / S),
+                             schedule, 1.0)
+        rho, rewards = rng.dirichlet(np.ones(S)), rng.normal(size=(S, A))
+        policies, values = _policy_values(kernel, rewards, rho)
+        assert [value.hex() for value in values.tolist()] == \
+            [value.hex() for value in _objective_oracle(kernel, rewards, rho).values()]
+        assert policies.tolist() == [list(p) for p in itertools.product(range(A), repeat=S)]
+        _check_enumeration(rng, base, kernel, decimals=None)
 
 
 def _check_enumeration(rng, base, kernel, decimals):
