@@ -37,9 +37,12 @@ from .instances import (
 )
 from .privacy import PrivacyParams
 
-# Bytes of the one block of weight rows that hardness's pair sums reuse.  On the
-# S=4, A=100 instance 2 MiB blocks, fresh per step, set the process's peak RSS.
-PAIR_SUM_BLOCK_BYTES = 1 << 20
+# Bytes of the one (pairs × targets) block that hardness's |w| sums reuse.  Walking
+# pairs, each product packs only its own rows of diff_coords, where walking targets
+# repacked all of it every few targets; on the S=4, A=100 instance 1 MiB blocks cross
+# OpenBLAS's threading threshold and run twice as slow.  Past ~65k targets a block
+# holds one pair, so tiling the targets too belongs with ROADMAP item 11.
+PAIR_SUM_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,20 @@ def hardness(v: Instance, privacy: PrivacyParams | None = None) -> HardnessRepor
     """Compute all per-target coefficients and the hardness maxima."""
     table = _consistent_table(v)
     H, argmax, q_member, (keys, solved, gamma, gaps) = _gamma_hardness(v, table)
-    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, from blocks of rows P = w / N;
-    # gamma_dp = |P|^2 = |R_C solved|^2, R_C the r×r triangular factor of diff_coords.
+    # Columns gamma, gamma_tilde, gamma_dp, gamma_tilde_dp, from blocks of pair rows
+    # P = (w / N)ᵀ; gamma_dp = |P|^2 = |R_C solved|^2, R_C the r×r triangular factor
+    # of diff_coords.
     sums = np.column_stack([gamma, np.empty((len(keys), 3))])
     sums[:, 2] = np.square(solved @ np.linalg.qr(table.diff_coords, mode="r").T).sum(axis=1)
-    step = max(1, PAIR_SUM_BLOCK_BYTES // (8 * table.masses.size))
-    scale = np.stack([np.sqrt(table.masses), np.ones_like(table.masses)], axis=1)
-    block = np.empty((min(step, len(keys)), table.masses.size))
-    for lo in range(0, len(keys), step):
-        rows = solved[lo : lo + step]
-        P = np.matmul(rows, table.diff_coords.T, out=block[: len(rows)])
-        sums[lo : lo + step, 1::2] = np.abs(P, out=P) @ scale
+    step = max(1, PAIR_SUM_BLOCK_BYTES // (8 * len(keys)))
+    scale = np.stack([np.sqrt(table.masses), np.ones_like(table.masses)])
+    targets, acc = np.ascontiguousarray(solved.T), np.zeros((2, len(keys)))
+    block = np.empty((min(step, table.masses.size), len(keys)))
+    for lo in range(0, table.masses.size, step):
+        rows = table.diff_coords[lo : lo + step]
+        P = np.matmul(rows, targets, out=block[: len(rows)])
+        acc += scale[:, lo : lo + step] @ np.abs(P, out=P)
+    sums[:, 1::2] = acc.T
     H_dp = None if privacy is None else float(np.max(
         np.sqrt(math.log(1.25 / privacy.delta) * sums[:, 2]) / (math.sqrt(privacy.epsilon) * gaps)
     ))

@@ -285,7 +285,7 @@ def pair_differences(features: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Fresh (m, d) differences ``f[k, i] − f[k, j]`` of (m, 3) pairs, by flat index."""
     S, A, d = features.shape
     flat, base = features.reshape(S * A, d), pairs[:, 0] * A
-    return flat[base + pairs[:, 1]] - flat[base + pairs[:, 2]]
+    return flat.take(base + pairs[:, 1], axis=0) - flat.take(base + pairs[:, 2], axis=0)
 
 
 def observed_differences(

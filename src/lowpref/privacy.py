@@ -39,14 +39,22 @@ class PrivacyParams:
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValidationError(f"{name} must lie strictly in (0, 1), got {value}")
+        if math.isinf(1.25 / self.delta):
+            raise ValidationError(f"delta is too small: 1.25 / delta overflows, got {self.delta}")
 
 
 def noise_scale(n: int, masses, privacy: PrivacyParams):
     """Gaussian std calibrated to a single label flip in an (n * N)-count cell.
 
-    ``masses`` is one schedule value N or an array of them.
+    ``masses`` is one schedule value N or an array of them.  A scale that is not
+    finite (epsilon * n * N near 0) is refused, with no RuntimeWarning.
     """
-    return math.sqrt(2 * math.log(1.25 / privacy.delta)) / (privacy.epsilon * n * masses)
+    root = math.sqrt(2 * math.log(1.25 / privacy.delta))
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = root / np.multiply(privacy.epsilon * n, masses)
+    if not np.all(np.isfinite(scale)):
+        raise ValidationError(f"noise scale is not finite at epsilon={privacy.epsilon}, n={n}")
+    return scale
 
 
 def _draw_noise(seed, pairs: np.ndarray, stds: np.ndarray) -> np.ndarray:

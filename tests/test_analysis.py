@@ -27,6 +27,7 @@ from lowpref import (
     suboptimality_gaps,
     validate_kernel,
 )
+import lowpref.analysis as analysis
 from conftest import COMMITTED, random_consistent_instance, tall_instances
 
 PRIVACY = PrivacyParams(epsilon=0.9, delta=0.2)
@@ -421,6 +422,17 @@ class TestHardnessOracle:
         for v in tall_instances(4):
             _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
 
+    @pytest.mark.parametrize("pairs_per_block", [1, 3, None], ids=["one", "three", "all"])
+    def test_pair_blocks(self, pairs_per_block, t1, t2, tri, monkeypatch):
+        # The |w| sums walk blocks of pairs: one pair per block, three pairs with
+        # a remainder block, and one block larger than the pair count.
+        instances = [load_instance(path) for path in COMMITTED] + [t1, t2, tri]
+        for v in instances + tall_instances(4):
+            targets = v.num_states * (v.num_actions - 1)
+            pairs = pairs_per_block or len(v.observed_pairs()) + 1
+            monkeypatch.setattr(analysis, "PAIR_SUM_BLOCK_BYTES", 8 * targets * pairs)
+            _assert_same_report(hardness(v, PRIVACY), _hardness_oracle(v, PRIVACY))
+
 
 class TestAdversaryOracle:
     """lower_bound_adversary against the composition it replaces."""
@@ -463,8 +475,8 @@ class TestAdversaryOracle:
 
 class TestTracedPeak:
     """Traced peak memory of single calls on the committed S=4, A=100 instance,
-    in units of one (m × d) float64 array.  On numpy 2.4.6 they read 2.503
-    (rl_low) and 2.753 (hardness), where a dense-schedule geometry with the
+    in units of one (m × d) float64 array.  On numpy 2.4.6 they read 2.501
+    (rl_low) and 2.751 (hardness), where a dense-schedule geometry with the
     SVD's left vectors and 2 MiB pair-sum blocks read 4.098 and 5.061.  The
     bounds sit half a unit above the readings, so a weight table that keeps
     one more per-pair array fails."""

@@ -57,6 +57,14 @@ def test_analyze_rejects_privacy_outside_unit_interval(instance_path, capsys):
                  "--epsilon", "1.5", "--delta", "0.2"]) == 2
 
 
+def test_analyze_refuses_delta_whose_inverse_overflows(instance_path, capsys):
+    # Computed on, it would print "H_dp": Infinity, which is not JSON.
+    assert main(["analyze", "--instance", str(instance_path),
+                 "--epsilon", "0.9", "--delta", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert "delta is too small" in captured.err and captured.out == ""
+
+
 def test_adversary_subcommand(tmp_path, capsys):
     # T1: the alternative instance has the negated parameter.
     t1_path = tmp_path / "t1.json"

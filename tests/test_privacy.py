@@ -62,6 +62,32 @@ class TestParams:
     def test_accepts_interior(self):
         PrivacyParams(epsilon=0.9, delta=0.2)
 
+    def test_rejects_delta_whose_inverse_overflows(self):
+        # 1.25 / 1e-320 is inf, and so would be H_dp and every noise scale.
+        with pytest.raises(ValidationError, match="delta is too small"):
+            PrivacyParams(epsilon=0.9, delta=1e-320)
+        PrivacyParams(epsilon=0.9, delta=7e-309)  # 1.25 / delta is finite
+
+
+class TestNonFiniteNoiseScale:
+    def test_dp_rl_low_refuses_before_it_warns(self, t1):
+        # epsilon * n * N = 1e-318 puts sqrt(2 ln(1.25 / delta)) / (epsilon * n * N) past
+        # the largest double.
+        data = sample_dataset(t1, 100, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not finite at epsilon=1e-320"):
+                dp_rl_low(data, t1.features, t1.reward_bound,
+                          PrivacyParams(epsilon=1e-320, delta=0.2), seed=1)
+
+    def test_finite_scales_keep_their_bits(self):
+        masses = np.array([1.0, 0.25, 1 / 3, 1e-5])
+        for eps, delta, n in [(0.9, 0.2, 100), (1e-300, 1e-300, 7), (0.5, 7e-309, 1)]:
+            want = math.sqrt(2 * math.log(1.25 / delta)) / (eps * n * masses)
+            got = privacy_mod.noise_scale(n, masses, PrivacyParams(eps, delta))
+            assert got.tobytes() == want.tobytes()
+            assert privacy_mod.noise_scale(n, 0.25, PrivacyParams(eps, delta)) == want[1]
+
 
 class TestMechanism:
     def _rates(self, t1, n=100, seed=0):
