@@ -11,8 +11,8 @@ recorded wall-clock column, which is measurement, not output.  Every
 cell's ``wall_ms`` is 1/R of its (algorithm, n) batch: the seeds, win
 counts, noise, estimates or fits, selections or policy searches, and
 regrets of all R repetitions, and the batch's rows share that one float,
-which ``to_csv`` formats once.  The per-n sampling plan and weight table
-are built before the clock starts.
+which ``to_csv`` formats once.  The per-n sampling plan, its count CDFs and
+weight table are built before the clock starts: a batch draws R·m counts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import mle_fit
-from .errors import ValidationError
+from .errors import ValidationError, refusing
 from .estimator import (
     SuccessRates,
     _weight_table,
@@ -38,10 +38,11 @@ from .instances import (
     GeneratorConfig,
     Instance,
     PreferenceDataset,
+    count_cdf,
     load_instance,
     make_paper_instance,
     read_json,
-    sample_winners,
+    sample_wins,
     sampling_plan,
 )
 from .mdp import load_kernel, mdp_policy_search, mdp_regret
@@ -111,10 +112,8 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultTable":
-        try:
+        with refusing("read", path):
             lines = Path(path).read_text().splitlines()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
         if not lines or lines[0] != "algo,n,rep,seed,regret,wall_ms":
             raise ValidationError(f"unexpected results header in {path}")
         rows = []
@@ -232,20 +231,20 @@ def _resolve_instance(cfg: ExperimentConfig) -> Instance:
 def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
     """The repetitions of one (algorithm, n), every step run once on their stack.
 
-    Per-pair record counts are deterministic ceilings, so only the winners
-    vary between repetitions, and the rates algorithms share one weight
-    table, built from the plan's pairs and masses.  Only the ``mle`` fits go
-    row by row, each its own Newton loop.
+    Per-pair record counts are deterministic ceilings, so only the win counts
+    vary, one inverse-CDF draw per (repetition, pair), and the rates algorithms
+    share one weight table, built from the plan's pairs and masses.  Only the
+    ``mle`` fits go row by row, each its own Newton loop.
     """
     pairs, counts, p_first = sampling_plan(v, n)
+    cdf = count_cdf(counts, p_first)
     if algo != "mle":
         table = _weight_table(pairs, counts / n, v.features)
     start = time.perf_counter()
     reps = np.arange(cfg.repetitions)
     data_seeds = stream_keys(cfg.master_seed, "data", n, reps)
     tie_seeds = stream_keys(cfg.master_seed, algo, n, reps, "tie")
-    wins = sample_winners(pairs, counts, p_first, data_seeds[:, None])
-    won = np.add.reduceat(wins, np.cumsum(counts) - counts, axis=1, dtype=np.int64)
+    won = sample_wins(pairs, counts, cdf, data_seeds[:, None])
     if algo == "mle":
         scores = np.stack([v.features @ mle_fit(PreferenceDataset(pairs, counts, row, n),
                                                 v.features, v.reward_bound).theta_hat
@@ -364,12 +363,14 @@ def _svg_plot(summary: list[dict]) -> str:
 
 
 def emit_outputs(summary: list[dict], table: ResultTable, cfg: ExperimentConfig) -> dict:
-    """Write results.csv, summary.json and regret.svg under the output dir."""
+    """Write results.csv, summary.json and regret.svg under the output dir; a
+    directory or file that cannot be written is refused by name."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "results.csv")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    (out / "regret.svg").write_text(_svg_plot(summary))
+    with refusing("write", out):
+        out.mkdir(parents=True, exist_ok=True)
+        table.to_csv(out / "results.csv")
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        (out / "regret.svg").write_text(_svg_plot(summary))
     return {
         "results": str(out / "results.csv"),
         "summary": str(out / "summary.json"),

@@ -13,7 +13,7 @@ import sys
 
 from .analysis import hardness, lower_bound_adversary
 from .bench import emit_outputs, load_config, run_experiment, summarize
-from .errors import InconsistencyError, NumericalError, ValidationError
+from .errors import InconsistencyError, NumericalError, ValidationError, refusing
 from .instances import (
     GeneratorConfig,
     load_dataset,
@@ -109,7 +109,7 @@ def _cmd_analyze(args) -> int:
         payload["privacy"] = {"epsilon": privacy.epsilon, "delta": privacy.delta}
     report = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w") as handle:
+        with refusing("write", args.out), open(args.out, "w") as handle:
             handle.write(report + "\n")
     else:
         print(report)

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: validation failures exit 2,
 inconsistent instances exit 3, numerical failures exit 4.
 """
 
+from contextlib import contextmanager
+
 
 class ValidationError(ValueError):
     """Malformed input: bad shapes, violated invariants, out-of-range parameters."""
@@ -29,3 +31,12 @@ class NumericalError(RuntimeError):
     singular value too small), non-convergence, broken identity."""
 
     exit_code = 4
+
+
+@contextmanager
+def refusing(verb: str, path):
+    """Refuse an ``OSError`` raised in the block as ``cannot <verb> <file>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot {verb} {exc.filename or path}: {exc.strerror}") from None

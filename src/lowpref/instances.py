@@ -10,8 +10,9 @@ with probability ``sigmoid(r_i - r_j)``.
 A comparison record is canonicalised as (state, first, second,
 ``winner_is_first``) with ``first < second``.  A ``PreferenceDataset`` keeps
 only each observed pair's record count and first-action wins, the statistics
-the estimators read, tallied once from the records when a CSV is loaded.  The
-schedule tensor is nonzero only on ordered pairs ``i < j``.
+the estimators read: tallied once from the records when a CSV is loaded, and
+drawn as one binomial count per pair when sampled.  The schedule tensor is
+nonzero only on ordered pairs ``i < j``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .rng import stream_keys, substream, uniforms
+from .errors import ValidationError, refusing
+from .rng import stream_keys, substream, uniform
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero when
 # computing the rank of the observed-difference matrix.
@@ -405,33 +406,56 @@ def sampling_plan(v: Instance, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return pairs, counts, p_first
 
 
-def sample_winners(
-    pairs: np.ndarray, counts: np.ndarray, p_first: np.ndarray, seed
-) -> np.ndarray:
-    """Whether the lower-indexed action wins each record of a sampling plan.
+def count_cdf(counts: np.ndarray, p_first: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each pair's Bin(count, p_first) CDF at w = 0..count, in one flat table that
+    keeps the pairs of one count side by side: entry w of a pair is at
+    first + w·stride.  The log-pmf, the log binomial coefficient plus
+    ``w·(log p − log q) + count·log q`` with q = 1 − p, is built in place; both
+    logs are floored at −1e4, below the log of any positive float, so p of 0 or
+    1 gives pmfs of exactly 0 and 1, not 0·(−inf).  Each pair's cumulative sum
+    is over its own total, so it ends at exactly 1 and a tail whose pmf
+    underflows is exactly 0 or 1."""
+    log_fact = np.fromiter(map(math.lgamma, range(1, int(counts.max(initial=0)) + 2)), float)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.maximum(np.log(p_first), -1e4), np.maximum(np.log1p(-p_first), -1e4)
+    table = np.empty(int(counts.sum()) + len(counts))
+    first, stride, at = np.empty_like(counts), np.empty_like(counts), 0
+    for c in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma
+        rows, w = np.flatnonzero(counts == c), np.arange(c + 1)[:, None]
+        block = table[at : at + (c + 1) * len(rows)].reshape(c + 1, -1)  # long rows: fast passes
+        np.multiply(w, log_p[rows] - log_q[rows], out=block)
+        block += c * log_q[rows]
+        block += log_fact[c] - log_fact[w] - log_fact[c - w]
+        np.cumsum(np.exp(block, out=block), axis=0, out=block)
+        block /= block[-1].copy()  # dividing by a view of itself took 8x as long
+        first[rows], stride[rows] = at + np.arange(len(rows)), len(rows)
+        at += block.size
+    return table, first, stride
 
-    Records are in plan order, each pair's ``counts`` records consecutive,
-    and pair (k, i, j) draws ``random(count) < p_first`` from the
-    (seed, "sample", k, i, j) stream.  ``seed`` is one data seed, giving one
-    row of bits, or an (R, 1) column of them, giving R rows; all streams are
-    drawn in one batch.
-    """
-    streams = stream_keys(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2])
-    draws = uniforms(streams.ravel(), np.broadcast_to(counts, streams.shape).ravel())
-    return draws.reshape(streams.shape[:-1] + (-1,)) < np.repeat(p_first, counts)
+
+def sample_wins(pairs: np.ndarray, counts: np.ndarray, cdf, seed) -> np.ndarray:
+    """Each pair's first-action wins: the entries of its ``count_cdf`` CDF at or
+    below u, word 0 of its (seed, "sample", k, i, j) stream, found by a binary
+    search of bit_length(max count) steps; the CDF ends at 1 > u.  ``seed`` is
+    one data seed, giving (m,) wins, or an (R, 1) column, giving (R, m)."""
+    table, first, stride = cdf
+    u = uniform(stream_keys(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2]))
+    wins = np.zeros(u.shape, dtype=np.int64)  # wins entries of each CDF are known to be <= u
+    step = 1 << int(counts.max(initial=0)).bit_length()
+    while step > 1:
+        step >>= 1
+        wins = wins + (table[first + stride * np.minimum(wins + (step - 1), counts)] <= u) * step
+    return wins
 
 
 def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:
     """Draw a dataset of nominal size ``n`` from the comparison model.
 
-    Record counts and win probabilities come from ``sampling_plan``; the
-    winners are independent Bernoulli draws from ``sample_winners``, whose
-    streams are derived per (seed, k, i, j) so the draw is reproducible and
-    order-independent, and each pair's draws are summed to its wins.
+    Record counts and win probabilities come from ``sampling_plan``; each pair's
+    wins are one Bin(count, p_first) draw from its own (seed, k, i, j) stream.
     """
     pairs, counts, p_first = sampling_plan(v, n)
-    won = sample_winners(pairs, counts, p_first, seed)
-    wins = np.add.reduceat(won, np.cumsum(counts) - counts, dtype=np.int64)
+    wins = sample_wins(pairs, counts, count_cdf(counts, p_first), seed)
     return PreferenceDataset(pairs, counts, wins, n)
 
 
@@ -480,15 +504,16 @@ def instance_from_dict(payload: dict) -> Instance:
 
 
 def save_instance(v: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(v)) + "\n")
+    with refusing("write", path):
+        Path(path).write_text(json.dumps(instance_to_dict(v)) + "\n")
 
 
 def read_json(path: str | Path):
     """Parsed contents of a JSON file; one that cannot be read or parsed is refused."""
+    with refusing("read", path):
+        text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
@@ -498,7 +523,7 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def save_dataset(data: PreferenceDataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
+    with refusing("write", path), open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["state", "first", "second", "winner_is_first"])
         writer.writerows(data.records.tolist())
@@ -514,16 +539,13 @@ def _record(path, line: int, row: list[str]) -> list[int]:
 
 
 def load_dataset(path: str | Path) -> PreferenceDataset:
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["state", "first", "second", "winner_is_first"]:
-                raise ValidationError(f"unexpected dataset header: {header}")
-            numbered = [(line, row) for line, row in enumerate(reader, 2) if row]
-            rows = [_record(path, line, row) for line, row in numbered]
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    with refusing("read", path), open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["state", "first", "second", "winner_is_first"]:
+            raise ValidationError(f"unexpected dataset header: {header}")
+        numbered = [(line, row) for line, row in enumerate(reader, 2) if row]
+        rows = [_record(path, line, row) for line, row in numbered]
     if not rows:
         raise ValidationError(f"{path} has no records")
     return PreferenceDataset.from_records(rows, n=len(rows),

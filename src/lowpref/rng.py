@@ -11,9 +11,11 @@ A label tuple names one SplitMix64 stream (Steele, Lea & Flood 2014).
 ``stream_keys`` folds the tuple into a 64-bit key, ``h = mix64(h ^ label)``
 over its parts from ``h = 0``, and word t of the stream with key K is
 ``mix64(K + (t+1)·GAMMA)``, so key 0 gives splitmix64.c's outputs from
-seed 0.  A stream needs no state: ``uniforms``, ``normals`` and
+seed 0.  A stream needs no state: ``uniform``, ``normals`` and
 ``integers`` compute the words of a whole batch of keys at once, as
-``uint64`` arrays that wrap mod 2**64.
+``uint64`` arrays that wrap mod 2**64.  A dataset pair's stream is
+(seed, "sample", k, i, j), and word 0 is the uniform that its win count
+inverts (``instances.sample_wins``).
 
 ``derive_seed`` and ``substream`` are numpy's ``SeedSequence`` and
 ``default_rng`` on a label tuple; only the instance generator draws from them.
@@ -29,7 +31,7 @@ _U64 = (1 << 64) - 1
 # SplitMix64's counter increment (2**64 over the golden ratio) and multipliers.
 _GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # uint64 scalars: numpy 1.x promotes uint64 combined with a Python int to float64.
-_GAMMA, _M1, _M2 = np.uint64(_GOLDEN), np.uint64(_MUL1), np.uint64(_MUL2)
+_M1, _M2 = np.uint64(_MUL1), np.uint64(_MUL2)
 _S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 
 
@@ -98,38 +100,22 @@ def stream_keys(*parts) -> np.ndarray:
     return np.array(key, dtype=np.uint64) if isinstance(key, int) else key
 
 
-def _unit(words: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each word as a float in [0, 1)."""
+def uniform(keys: np.ndarray, t: int = 0) -> np.ndarray:
+    """Word t of each stream as a float in [0, 1): its top 53 bits times 2**-53."""
+    words = _mix64(keys + np.uint64((t + 1) * _GOLDEN & _U64))
     words >>= _S11
     return words * 2.0**-53
-
-
-def _word(keys: np.ndarray, t: int) -> np.ndarray:
-    """Word t of each stream."""
-    return _mix64(keys + np.uint64((t + 1) * _GOLDEN & _U64))
-
-
-def uniforms(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Words 0..count-1 of each stream as floats in [0, 1), for each key and
-    count of a ``uint64`` and an integer array of one length, concatenated."""
-    starts = (np.cumsum(counts) - counts).astype(np.uint64)
-    # Word t of stream s sits at position starts[s] + t of the output, so its
-    # counter (t+1)·GAMMA is (position+1)·GAMMA − starts[s]·GAMMA.
-    words = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64)
-    words *= _GAMMA
-    words += np.repeat(keys - starts * _GAMMA, counts)
-    return _unit(_mix64(words))
 
 
 def normals(keys: np.ndarray, stds: np.ndarray) -> np.ndarray:
     """One Gaussian draw of mean 0 and standard deviation ``std`` per key and
     std: Box–Muller on words 0 and 1, ``sqrt(−2·log1p(−u0))·cos(2π·u1)``."""
-    radius = np.sqrt(-2.0 * np.log1p(-_unit(_word(keys, 0))))
-    return stds * (radius * np.cos(2.0 * np.pi * _unit(_word(keys, 1))))
+    radius = np.sqrt(-2.0 * np.log1p(-uniform(keys)))
+    return stds * (radius * np.cos(2.0 * np.pi * uniform(keys, 1)))
 
 
 def integers(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``floor(u·size)`` per key and size in [1, 2**32], u from word 0.  Each
     value's probability is 1/size to within 3·2**-53, as u has 53 bits and
     u·size is rounded: a relative bias below 3·size·2**-53."""
-    return (_unit(_word(keys, 0)) * sizes).astype(np.int64)
+    return (uniform(keys) * sizes).astype(np.int64)

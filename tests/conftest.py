@@ -1,7 +1,9 @@
 """Shared fixtures: tiny hand-checkable instances, a random-instance factory
 and the scalar reference for the random streams."""
 
+import bisect
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -223,3 +225,23 @@ def oracle_normal(key, std):
 
 def oracle_integer(key, size):
     return int(oracle_uniforms(key, 1)[0] * size)
+
+
+def oracle_count_cdf(count, p):
+    """Bin(count, p)'s CDF at w = 0..count on Python floats: ``math.lgamma``
+    log-pmfs, a zero factor times a log of 0 taken as 0, one running sum over
+    its own total."""
+    log_p = math.log(p) if p > 0 else -math.inf
+    log_q = math.log1p(-p) if p < 1 else -math.inf
+    pmf = [math.exp(math.lgamma(count + 1) - math.lgamma(w + 1) - math.lgamma(count - w + 1)
+                    + (w * log_p if w else 0.0) + ((count - w) * log_q if count > w else 0.0))
+           for w in range(count + 1)]
+    cdf = list(itertools.accumulate(pmf))
+    return [x / cdf[-1] for x in cdf]
+
+
+def oracle_wins(seed, pair, cdf):
+    """A pair's wins: the entries of its count CDF at or below word 0 of its
+    (seed, "sample", k, i, j) stream.  The CDF's entries may differ from
+    numpy's by an ulp, which moves a draw only for a uniform within that ulp."""
+    return bisect.bisect_right(cdf, oracle_uniforms(oracle_key(seed, "sample", *pair), 1)[0])

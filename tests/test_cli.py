@@ -285,6 +285,34 @@ def test_malformed_instance_field_exits_2(instance_path, field, value, capsys):
     assert "malformed instance payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-instance", "sample", "analyze", "adversary", "run"])
+def test_unwritable_output_exits_2(tmp_path, instance_path, command, capsys):
+    """An output under a regular file, or (but for ``run``, which makes its
+    output directory) under a directory that does not exist, is refused by
+    name, as an unreadable input is."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    targets = [blocker / "out"] + ([] if command == "run" else [tmp_path / "missing" / "out"])
+    for target in targets:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instance": {"path": str(instance_path)}, "n_grid": [20],
+                                      "repetitions": 2, "out_dir": str(target)}))
+        args = {
+            "gen-instance": ["gen-instance", "--S", "2", "--A", "3", "--d", "2", "--seed", "1",
+                             "--out", str(target)],
+            "sample": ["sample", "--instance", str(instance_path), "--n", "20", "--seed", "1",
+                       "--out", str(target)],
+            "analyze": ["analyze", "--instance", str(instance_path), "--out", str(target)],
+            "adversary": ["adversary", "--instance", str(instance_path), "--out", str(target)],
+            "run": ["run", "--config", str(config)],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"validation error: cannot write {target}: "), captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--config", "--kernel", "--dataset"])
 def test_missing_input_file_exits_2(tmp_path, mdp_args, flag, capsys):
     missing = str(tmp_path / "nonexistent")

@@ -1,8 +1,12 @@
 """Instance model: validation, generation, sampling, proportions, file formats."""
 
+import decimal
+import hashlib
+import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,12 +38,24 @@ from lowpref import (
 )
 from lowpref.instances import (
     consistency_witness,
+    count_cdf,
     observed_differences,
     outside_span,
+    sample_wins,
     sampling_plan,
     span_svd,
 )
-from conftest import COMMITTED, random_consistent_instance
+from lowpref.rng import stream_keys
+from conftest import (
+    COMMITTED,
+    GAMMA,
+    MASK64,
+    oracle_count_cdf,
+    oracle_key,
+    oracle_wins,
+    random_consistent_instance,
+    unmix64,
+)
 
 
 def _t1_like(**overrides):
@@ -381,6 +397,163 @@ class TestSamplingPlan:
             warnings.simplefilter("error")
             assert sampling_plan(wide_gap, 50)[2].tolist() == [0.0]
             assert sample_dataset(wide_gap, 50, seed=1).wins.tolist() == [0]
+
+
+def _pairs(m: int) -> np.ndarray:
+    """m distinct (0, i, i + 1) pairs."""
+    return np.column_stack([np.zeros(m, dtype=np.int64), np.arange(m), np.arange(m) + 1])
+
+
+def _seed_for_word0(word: int, pair) -> int:
+    """A data seed whose (seed, "sample", k, i, j) stream has word 0 ``word``:
+    the key fold run backwards through the inverse of mix64."""
+    sample = int.from_bytes(hashlib.sha256(b"sample").digest()[:8], "little")
+    h = unmix64(word) - GAMMA & MASK64
+    for label in reversed((sample, *pair)):
+        h = unmix64(h) ^ label
+    assert oracle_key(unmix64(h), "sample", *pair) == unmix64(word) - GAMMA & MASK64
+    return unmix64(h)
+
+
+def _binomial_pmf(count: int, p: float) -> list[decimal.Decimal]:
+    """Bin(count, p)'s pmf in 40-digit decimal arithmetic from the exact value
+    of the float p: (1 − p)**count, then the ratio of neighbouring terms."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p_first = decimal.Decimal(p)
+        odds = p_first / (1 - p_first)
+        pmf = [(1 - p_first) ** count]
+        for w in range(count):
+            pmf.append(pmf[-1] * (count - w) / (w + 1) * odds)
+        return pmf
+
+
+def _chi_square(draws: np.ndarray, pmf: list[float]) -> tuple[float, int]:
+    """Pearson's statistic and its degrees of freedom for integer draws against
+    a pmf, neighbouring values pooled until each bin expects at least 5."""
+    expected = len(draws) * np.array(pmf)
+    edges, running = [0], 0.0
+    for w, e in enumerate(expected):
+        running += e
+        if running >= 5:
+            edges.append(w + 1)
+            running = 0.0
+    edges[-1] = len(pmf)  # a remainder expecting under 5 joins the last bin
+    want = np.add.reduceat(expected, edges[:-1])
+    got = np.add.reduceat(np.bincount(draws, minlength=len(pmf)), edges[:-1])
+    return float(((got - want) ** 2 / want).sum()), len(want) - 1
+
+
+class TestCountSampler:
+    """``count_cdf`` and ``sample_wins``: each pair's wins are one Bin(count,
+    p_first) draw by inverse CDF, whatever the count, p or mix of counts."""
+
+    def test_chi_square_over_a_grid(self):
+        """20,000 draws for each (c, p) of a grid in one mixed-count plan, each
+        pair's against its exact pmf: Pearson's statistic stays below its
+        1 − 1e-6 quantile (Wilson–Hilferty)."""
+        grid = [(c, p) for c in (1, 3, 40, 300, 4096) for p in (1e-6, 0.05, 0.5, 0.93)]
+        counts = np.array([c for c, _ in grid])
+        p_first = np.array([p for _, p in grid])
+        seeds = stream_keys(11, "chi-square", np.arange(20_000))[:, None]
+        wins = sample_wins(_pairs(len(grid)), counts, count_cdf(counts, p_first), seeds)
+        for column, (c, p) in zip(wins.T, grid):
+            statistic, df = _chi_square(column, [float(x) for x in _binomial_pmf(c, p)])
+            if df:
+                bound = df * (1 - 2 / (9 * df) + 4.75 * math.sqrt(2 / (9 * df))) ** 3
+                assert statistic <= bound, (c, p, statistic, df)
+            else:
+                assert np.bincount(column, minlength=c + 1).argmax() == round(c * p)
+
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_p_at_and_near_the_ends(self, count):
+        """p of 0 and 1, and floats within 1e-17 of them (1 − 1e-17 is 1.0):
+        no RuntimeWarning, and the draws are the oracle's.  Word 0 at its
+        bottom and top plants u = 0 and u = 1 − 2**-53."""
+        p_first = np.array([0.0, 5e-324, 1e-17, 1 - 1e-17, np.nextafter(1.0, 0.0), 1.0])
+        counts, pairs = np.full(len(p_first), count), _pairs(len(p_first))
+        planted = [_seed_for_word0(word, pair) for word in (0, MASK64) for pair in pairs.tolist()]
+        seeds = planted + list(range(200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = count_cdf(counts, p_first)
+            wins = sample_wins(pairs, counts, cdf, np.array(seeds, dtype=np.uint64)[:, None])
+        cdfs = [oracle_count_cdf(count, p) for p in p_first.tolist()]
+        assert wins.tolist() == [[oracle_wins(seed, pair, cdf) for pair, cdf in
+                                  zip(pairs.tolist(), cdfs)] for seed in seeds]
+        at_zero, at_top = np.diagonal(wins[:6]), np.diagonal(wins[6:12])
+        assert (wins[12:, :3] == 0).all() and (wins[12:, 3:] == count).all()
+        assert at_zero.tolist() == [0, 0, 0, count, 0 if count == 1 else at_zero[4], count]
+        assert at_top.tolist() == [0, 0, 0 if count == 1 else 1, count, count, count]
+        assert count - 40 <= at_zero[4] < count  # W = count − 1 has mass about 4.5e-13
+
+    @pytest.mark.parametrize("p", [0.5, 1e-6])
+    def test_underflowing_tails_shift_no_mass(self, p):
+        """At c = 4,096 the pmf underflows in one tail (p = 1e-6) or both
+        (p = 0.5).  The CDF matches 40-digit arithmetic, is exactly 1 wherever
+        the exact upper tail is below 2**-60, and ends at exactly 1; u = 0 and
+        u = 1 − 2**-53 draw counts inside the exact tails, not past them."""
+        count = 4096
+        pmf = _binomial_pmf(count, p)
+        below = [0, *itertools.accumulate(pmf)]  # P(W < w), w = 0..count + 1
+        above = [*itertools.accumulate(pmf[::-1]), 0][::-1]  # P(W >= w)
+        cdf = count_cdf(np.array([count]), np.array([p]))
+        got, first, stride = cdf
+        assert (first.tolist(), stride.tolist(), got.shape) == ([0], [1], (count + 1,))
+        assert got[-1] == 1.0 and (np.diff(got) >= 0).all()
+        np.testing.assert_allclose(got, [float(x) for x in below[1:]], rtol=1e-9, atol=1e-300)
+        assert (got[[float(x) < 2**-60 for x in above[1:]]] == 1.0).all()
+        pair = (0, 0, 1)
+        seeds = np.array([_seed_for_word0(0, pair), _seed_for_word0(MASK64, pair)],
+                         dtype=np.uint64)
+        low, top = sample_wins(np.array([pair]), np.array([count]), cdf, seeds[:, None])[:, 0]
+        assert below[low] <= 2**-45
+        assert above[top] >= 2**-60 and above[top + 1] <= 2**-45
+
+    def test_mixed_counts_in_one_plan(self, t2):
+        """Counts of 1, 2, 9 and 4,096 interleaved: the table holds each pair's
+        own CDF once, from its first entry at its stride, every entry of the
+        table belongs to one pair, and the draws are the oracle's; so is t2's
+        plan (counts 1 and 3).  The two sum the log-pmf's terms, each up to
+        c·|log q| ≈ 2,840 at c = 4,096, in different orders, so their CDFs
+        agree to a few ulps of that: a relative 1e-12."""
+        counts = np.array([9, 1, 4096, 2, 9, 1])
+        p_first = np.array([0.3, 0.6, 0.5, 0.01, 0.99, 1.0])
+        cdf = count_cdf(counts, p_first)
+        table, first, stride = cdf
+        cdfs = [oracle_count_cdf(c, p) for c, p in zip(counts.tolist(), p_first.tolist())]
+        entries = [at + step * np.arange(len(want))
+                   for at, step, want in zip(first.tolist(), stride.tolist(), cdfs)]
+        assert sorted(np.concatenate(entries).tolist()) == list(range(len(table)))
+        for at, want in zip(entries, cdfs):
+            np.testing.assert_allclose(table[at], want, rtol=1e-12, atol=1e-300)
+        pairs = _pairs(len(counts))
+        seeds = list(range(300))
+        wins = sample_wins(pairs, counts, cdf, np.array(seeds, dtype=np.uint64)[:, None])
+        assert wins.tolist() == [[oracle_wins(seed, pair, c) for pair, c in
+                                  zip(pairs.tolist(), cdfs)] for seed in seeds]
+        pairs, counts, p_first = sampling_plan(t2, 3)
+        assert counts.tolist() == [1, 3]
+        cdfs = [oracle_count_cdf(c, p) for c, p in zip(counts.tolist(), p_first.tolist())]
+        for seed in range(50):
+            assert sample_dataset(t2, 3, seed).wins.tolist() == \
+                [oracle_wins(seed, pair, c) for pair, c in zip(pairs.tolist(), cdfs)]
+
+    def test_stacked_draw_allocates_no_record_sized_array(self, paper_instance):
+        """200 repetitions at n = 40,000 (445 records per pair): the draw's
+        peak allocation stays below one byte per (repetition, record)."""
+        n, R = 40_000, 200
+        pairs, counts, p_first = sampling_plan(paper_instance, n)
+        cdf = count_cdf(counts, p_first)
+        seeds = stream_keys(3, "data", n, np.arange(R))[:, None]
+        tracemalloc.start()
+        try:
+            wins = sample_wins(pairs, counts, cdf, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wins.shape == (R, len(pairs)) and wins.dtype == np.int64
+        assert peak < R * int(counts.sum()), peak
 
 
 class TestProportions:

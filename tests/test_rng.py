@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowpref import load_instance, sample_dataset
-from lowpref.instances import sample_winners, sampling_plan
+from lowpref.instances import count_cdf, sample_wins, sampling_plan
 from lowpref.privacy import _draw_noise
-from lowpref.rng import integers, normals, stream_keys, uniforms
+from lowpref.rng import integers, normals, stream_keys, uniform
 from conftest import (
     GAMMA,
     MASK64,
+    oracle_count_cdf,
     oracle_integer,
     oracle_key,
     oracle_normal,
     oracle_uniforms,
+    oracle_wins,
     oracle_word,
     unmix64,
 )
@@ -41,38 +43,23 @@ def _key_for_word0(word: int) -> int:
     return unmix64(word) - GAMMA & MASK64
 
 
-def _loop_sample(v, n, seed):
-    """sample_dataset's records by the oracle, one stream per pair."""
+def _loop_wins(pairs, counts, p_first, seeds):
+    """sample_wins by the oracle, one stream and one CDF per pair: a row of
+    wins per seed."""
+    cdfs = [oracle_count_cdf(c, p) for c, p in zip(counts.tolist(), p_first.tolist())]
+    return np.array([[oracle_wins(seed, pair, cdf) for pair, cdf in zip(pairs.tolist(), cdfs)]
+                     for seed in seeds], dtype=np.int64)
+
+
+def _assert_dataset_matches_loop(v, n, seeds):
+    """sample_dataset keeps the plan's pairs and counts, and its wins are the
+    oracle's, byte for byte."""
     pairs, counts, p_first = sampling_plan(v, n)
-    blocks = []
-    for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist()):
-        wins = np.array(oracle_uniforms(oracle_key(seed, "sample", k, i, j), count)) < p
-        block = np.empty((count, 4), dtype=np.int64)
-        block[:, 0] = k
-        block[:, 1] = i
-        block[:, 2] = j
-        block[:, 3] = wins
-        blocks.append(block)
-    return np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
-
-
-def _assert_tallies_loop(data, records):
-    """The dataset's pairs, counts and wins are the bytes of the loop's records
-    tallied per pair by ``np.unique``."""
-    pairs, inverse, counts = np.unique(records[:, :3], axis=0, return_inverse=True,
-                                       return_counts=True)
-    wins = np.bincount(inverse.reshape(-1), weights=records[:, 3], minlength=len(counts))
-    for got, want in ((data.pairs, pairs), (data.counts, counts), (data.wins, wins.astype(np.int64))):
-        assert got.dtype == np.int64
-        assert got.tobytes() == want.tobytes()
-
-
-def _loop_winners(pairs, counts, p_first, seed):
-    """sample_winners for one seed by the oracle, one stream per pair."""
-    return np.concatenate([
-        np.array(oracle_uniforms(oracle_key(seed, "sample", k, i, j), count)) < p
-        for (k, i, j), count, p in zip(pairs.tolist(), counts.tolist(), p_first.tolist())
-    ])
+    for seed, want in zip(seeds, _loop_wins(pairs, counts, p_first, seeds)):
+        data = sample_dataset(v, n, seed)
+        for got, expected in ((data.pairs, pairs), (data.counts, counts), (data.wins, want)):
+            assert got.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
 
 
 def _loop_noise(seed, pairs, stds):
@@ -156,7 +143,7 @@ class TestDeriveSeeds:
     def test_empty_batch(self):
         assert stream_keys(3, "x", np.zeros(0, dtype=np.int64)).shape == (0,)
         empty = np.zeros(0, dtype=np.uint64)
-        assert uniforms(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert uniform(empty).shape == uniform(empty, 5).shape == (0,)
         assert normals(empty, np.zeros(0)).shape == (0,)
         assert integers(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
 
@@ -171,8 +158,8 @@ class TestStreamWords:
         """Words 0 to 2 of key 0 are splitmix64.c's first outputs from seed 0."""
         want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
         assert [oracle_word(0, t) for t in range(3)] == want
-        got = uniforms(_keys([0]), np.array([3]))
-        assert got.tolist() == [(w >> 11) * 2.0**-53 for w in want]
+        got = [float(uniform(_keys([0]), t)[0]) for t in range(3)]
+        assert got == [(w >> 11) * 2.0**-53 for w in want]
 
     def test_independence_across_neighbouring_keys(self):
         """Word 0 of 10**5 consecutive pair labels, and of 10**5 consecutive
@@ -180,27 +167,23 @@ class TestStreamWords:
         variance and the correlation of neighbours each within 5 standard
         errors of 1/2, 1/12 and 0."""
         size = 10**5
-        ones = np.ones(size, dtype=np.int64)
         by_label = stream_keys(2024, "sample", np.arange(size))
         by_seed = stream_keys(np.arange(size), "sample", 7)
         for keys in (by_label, by_seed):
-            u = uniforms(keys, ones)
+            u = uniform(keys)
             assert abs(u.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / size)
             assert abs(u.var() - 1 / 12) <= 5 * math.sqrt((1 / 80 - 1 / 144) / size)
             assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 5 / math.sqrt(size)
-            pairs = uniforms(keys, 2 * ones).reshape(-1, 2)
-            assert abs(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]) <= 5 / math.sqrt(size)
+            assert abs(np.corrcoef(u, uniform(keys, 1))[0, 1]) <= 5 / math.sqrt(size)
 
 
 class TestLaneDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(u64, min_size=0, max_size=60),
-           counts=st.lists(st.integers(0, 9), min_size=60, max_size=60))
-    def test_uniforms_equal_oracle(self, seeds, counts):
-        counts = counts[: len(seeds)]
-        expected = [oracle_uniforms(s, c) for s, c in zip(seeds, counts)]
-        got = uniforms(_keys(seeds), np.array(counts, dtype=np.int64))
-        assert got.tobytes() == np.array(sum(expected, []), dtype=float).tobytes()
+    @given(seeds=st.lists(u64, min_size=0, max_size=60), t=st.integers(0, 9))
+    def test_uniforms_equal_oracle(self, seeds, t):
+        """Word t of every stream of a batch, as a float."""
+        expected = [oracle_uniforms(s, t + 1)[t] for s in seeds]
+        assert uniform(_keys(seeds), t).tobytes() == np.array(expected, dtype=float).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(seeds=st.lists(u64, min_size=0, max_size=40),
@@ -263,9 +246,10 @@ class TestCrossover:
         counts = 1 + np.arange(streams) % 3
         p_first = np.linspace(0.1, 0.9, streams)
         stds = np.linspace(0.0, 2.0, streams)
+        cdf = count_cdf(counts, p_first)
         for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
-            assert sample_winners(pairs, counts, p_first, seed).tobytes() == \
-                _loop_winners(pairs, counts, p_first, seed).tobytes()
+            assert sample_wins(pairs, counts, cdf, seed).tobytes() == \
+                _loop_wins(pairs, counts, p_first, [seed])[0].tobytes()
             assert _draw_noise(seed, pairs, stds).tobytes() == \
                 _loop_noise(seed, pairs, stds).tobytes()
 
@@ -274,10 +258,11 @@ class TestCrossover:
         pairs, counts, p_first = sampling_plan(paper_instance, 150)
         stds = np.linspace(0.01, 2.0, len(pairs))
         seeds = _keys([3, 2**32 + 5, 0, 2**40, 2**32 - 1])
-        wins = sample_winners(pairs, counts, p_first, seeds[:, None])
+        wins = sample_wins(pairs, counts, count_cdf(counts, p_first), seeds[:, None])
         noise = _draw_noise(seeds[:, None], pairs, stds)
-        for seed, win_row, noise_row in zip(seeds.tolist(), wins, noise):
-            assert win_row.tobytes() == _loop_winners(pairs, counts, p_first, seed).tobytes()
+        loop = _loop_wins(pairs, counts, p_first, seeds.tolist())
+        for seed, win_row, loop_row, noise_row in zip(seeds.tolist(), wins, loop, noise):
+            assert win_row.tobytes() == loop_row.tobytes()
             assert noise_row.tobytes() == _loop_noise(seed, pairs, stds).tobytes()
 
 
@@ -286,12 +271,11 @@ class TestBatchedCallers:
     def test_sample_dataset_matches_per_pair_loop(self, name):
         v = load_instance(INSTANCE_DIR / name)
         n = 400 if v.num_actions < 50 else 20_000
-        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 424242, 12_345_678_901_234):
-            _assert_tallies_loop(sample_dataset(v, n, seed), _loop_sample(v, n, seed))
+        _assert_dataset_matches_loop(
+            v, n, (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 424242, 12_345_678_901_234))
 
     def test_sample_dataset_matches_per_pair_loop_on_t1(self, t1):
-        for seed in (0, 5, 2**40):
-            _assert_tallies_loop(sample_dataset(t1, 10_000, seed), _loop_sample(t1, 10_000, seed))
+        _assert_dataset_matches_loop(t1, 10_000, (0, 5, 2**40))
 
     def test_noise_matches_per_pair_loop(self, paper_instance):
         pairs = paper_instance.observed_pairs()
