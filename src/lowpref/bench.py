@@ -7,12 +7,12 @@ identical data and paired comparisons are meaningful, while tie-breaking
 and noise streams are additionally keyed by the algorithm name.
 
 Identical configurations reproduce identical tables, except for the
-recorded wall-clock column, which is measurement, not output.  Every
-cell's ``wall_ms`` is 1/R of its (algorithm, n) batch: the seeds, win
-counts, noise, estimates or fits, selections or policy searches, and
-regrets of all R repetitions, and the batch's rows share that one float,
-which ``to_csv`` formats once.  The per-n sampling plan, its count CDFs and
-weight table are built before the clock starts: a batch draws R·m counts.
+recorded wall-clock column, which is measurement, not output.  An
+algorithm runs its G sizes × R repetitions as one batch, and every cell's
+``wall_ms`` is 1/(G·R) of it: seeds, win counts, noise, estimates or fits,
+selections or policy searches, and regrets.  The rows share that one float,
+which ``to_csv`` formats once.  Sampling plans, count CDFs and weight
+tables are built before the clock starts.
 """
 
 from __future__ import annotations
@@ -228,43 +228,47 @@ def _resolve_instance(cfg: ExperimentConfig) -> Instance:
     return make_paper_instance(cfg.generator)
 
 
-def _run_cells(v, kernel, cfg, algo, n) -> list[ResultRow]:
-    """The repetitions of one (algorithm, n), every step run once on their stack.
+def _run_cells(v, kernel, cfg, algo) -> list[ResultRow]:
+    """Every cell of one algorithm as (G, R) rows of (n, repetition); each step
+    that the sizes can share runs once on the whole stack.
 
     Per-pair record counts are deterministic ceilings, so only the win counts
-    vary, one inverse-CDF draw per (repetition, pair), and the rates algorithms
-    share one weight table, built from the plan's pairs and masses.  Only the
-    ``mle`` fits go row by row, each its own Newton loop.
+    vary: one inverse-CDF draw per repetition and pair of each n's plan, all
+    in one call, each lane keyed by its n's data seed.  What reads an n's
+    masses goes per n: the weight table, the rates, the noise and the
+    estimate.  The ``mle`` fits go row by row, each its own Newton loop.
     """
-    pairs, counts, p_first = sampling_plan(v, n)
-    cdf = count_cdf(counts, p_first)
+    grid, reps = np.array(cfg.n_grid), np.arange(cfg.repetitions)
+    plans = [sampling_plan(v, n) for n in cfg.n_grid]
+    pairs, counts, p_first = map(np.concatenate, zip(*plans))
+    cdf, sizes = count_cdf(counts, p_first), [len(c) for _, c, _ in plans]
     if algo != "mle":
-        table = _weight_table(pairs, counts / n, v.features)
+        tables = [_weight_table(p, c / n, v.features) for (p, c, _), n in zip(plans, cfg.n_grid)]
     start = time.perf_counter()
-    reps = np.arange(cfg.repetitions)
-    data_seeds = stream_keys(cfg.master_seed, "data", n, reps)
-    tie_seeds = stream_keys(cfg.master_seed, algo, n, reps, "tie")
-    won = sample_wins(pairs, counts, cdf, data_seeds[:, None])
-    if algo == "mle":
-        scores = np.stack([v.features @ mle_fit(PreferenceDataset(pairs, counts, row, n),
-                                                v.features, v.reward_bound).theta_hat
-                           for row in won])
-    else:
-        rates = SuccessRates(table.pairs, won / counts, v.reward_bound)
+    data_seeds = stream_keys(cfg.master_seed, "data", grid[:, None], reps)
+    tie_seeds = stream_keys(cfg.master_seed, algo, grid[:, None], reps, "tie")
+    lanes = np.repeat(data_seeds, sizes, axis=0).T  # (R, every plan's pairs): their n's seeds
+    won = np.split(sample_wins(pairs, counts, cdf, lanes), np.cumsum(sizes)[:-1], axis=1)
+    scores = np.empty(tie_seeds.shape + v.features.shape[:2])
+    for g, ((p, c, _), n, wins) in enumerate(zip(plans, cfg.n_grid, won)):
+        if algo == "mle":
+            scores[g] = [v.features @ mle_fit(PreferenceDataset(p, c, row, n), v.features,
+                                              v.reward_bound).theta_hat for row in wins]
+            continue
+        rates = SuccessRates(p, wins / c, v.reward_bound)
         if algo == "dp_rl_low":
-            noise_seeds = stream_keys(cfg.master_seed, algo, n, reps, "noise")
-            rates = _mechanism(rates, table.masses, n, cfg.privacy, noise_seeds[:, None])
-        scores = estimate_relative_rewards(rates, table, v.features)
+            seeds = stream_keys(cfg.master_seed, algo, n, reps, "noise")[:, None]
+            rates = _mechanism(rates, tables[g].masses, n, cfg.privacy, seeds)
+        scores[g] = estimate_relative_rewards(rates, tables[g], v.features)
     if algo == "rl_low_mdp":
         policies = mdp_policy_search(scores, kernel, v.rho, tie_seed=tie_seeds)
         regrets = mdp_regret(v, kernel, policies)
     else:
         regrets = simple_regret(v, select_best_actions(scores, tie_seeds)[0])
-    data_seeds, regrets = data_seeds.tolist(), regrets.tolist()
-    wall_ms = (time.perf_counter() - start) * 1000.0 / cfg.repetitions
-    R = cfg.repetitions
-    return list(map(ResultRow, repeat(algo, R), repeat(n, R), range(R), data_seeds, regrets,
-                    repeat(wall_ms, R)))
+    data_seeds, regrets = data_seeds.ravel().tolist(), regrets.ravel().tolist()
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(regrets)
+    return list(map(ResultRow, repeat(algo), np.repeat(grid, len(reps)).tolist(),
+                    reps.tolist() * len(grid), data_seeds, regrets, repeat(wall_ms)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -275,8 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         kernel = load_kernel(cfg.kernel_path, (v.num_states, v.num_actions))
     rows = []
     for algo in cfg.algorithms:
-        for n in cfg.n_grid:
-            rows += _run_cells(v, kernel, cfg, algo, n)
+        rows += _run_cells(v, kernel, cfg, algo)
     return ResultTable(rows=rows)
 
 

@@ -437,15 +437,18 @@ def sample_wins(pairs: np.ndarray, counts: np.ndarray, cdf, seed) -> np.ndarray:
     """Each pair's first-action wins: the entries of its ``count_cdf`` CDF at or
     below u, word 0 of its (seed, "sample", k, i, j) stream, found by a binary
     search of bit_length(max count) steps; the CDF ends at 1 > u.  ``seed`` is
-    one data seed, giving (m,) wins, or an (R, 1) column, giving (R, m)."""
-    table, first, stride = cdf
-    u = uniform(stream_keys(seed, "sample", pairs[:, 0], pairs[:, 1], pairs[:, 2]))
+    one data seed, giving (m,) wins, or an array that broadcasts against (m,),
+    such as an (R, 1) column or (R, m) lane seeds, giving wins of its shape."""
+    table, lead = cdf[0], (1,) * (np.ndim(seed) - 1)
+    # Pairs first, lanes last: a pair's operands broadcast along one inner loop of lanes.
+    k, i, j, first, stride, counts = (a.reshape(-1, *lead) for a in (*pairs.T, *cdf[1:], counts))
+    u = uniform(stream_keys(np.transpose(seed) if lead else seed, "sample", k, i, j))
     wins = np.zeros(u.shape, dtype=np.int64)  # wins entries of each CDF are known to be <= u
     step = 1 << int(counts.max(initial=0)).bit_length()
     while step > 1:
         step >>= 1
         wins = wins + (table[first + stride * np.minimum(wins + (step - 1), counts)] <= u) * step
-    return wins
+    return np.ascontiguousarray(wins.T)
 
 
 def sample_dataset(v: Instance, n: int, seed: int) -> PreferenceDataset:

@@ -82,29 +82,31 @@ def _check_rho(rho, S: int) -> None:
 
 
 def _policy_rows(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
-    """A policy (S,) or policy rows (Π, S) as int64, refused unless they and rho fit the kernel."""
+    """A policy (S,) or policy rows (..., S) as int64, refused unless they and rho fit
+    the kernel; a bad row is named by its index over the leading axes."""
     rows, (S, A) = np.asarray(policy), kernel.P.shape[:2]
     _check_rho(rho, S)
-    if rows.ndim > 2 or rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu":
+    if rows.shape[-1:] != (S,) or rows.dtype.kind not in "iu":
         raise ValidationError(f"policy of shape {rows.shape} and dtype {rows.dtype} "
                               f"does not fit (S, A) {S, A}")
     bad = np.flatnonzero(np.any((rows < 0) | (rows >= A), axis=-1).ravel())
     if bad.size:
         row = tuple(int(a) for a in rows.reshape(-1, S)[bad[0]])
-        name = f"policy row {bad[0]}" if rows.ndim == 2 else "policy"
+        at = tuple(int(i) for i in np.unravel_index(bad[0], rows.shape[:-1]))
+        name = "policy" if rows.ndim == 1 else f"policy row {at[0] if rows.ndim == 2 else at}"
         raise ValidationError(f"{name} {row} does not fit (S, A) {S, A}")
     return rows.astype(np.int64, copy=False)
 
 
 def stationary_distribution(kernel: TransitionKernel, policy, rho: np.ndarray) -> np.ndarray:
     """Time-average state occupancy of the policy chain started from rho: (S,) for one
-    policy, (Π, S) for policy rows, each row with the bits of its own call."""
-    rows = np.atleast_2d(_policy_rows(kernel, policy, rho))
-    mu, S, rho = np.empty(rows.shape), len(rho), np.asarray(rho, dtype=np.float64)
-    for lo in range(0, len(rows), OCCUPANCY_BLOCK):
-        block = rows[lo:lo + OCCUPANCY_BLOCK]
-        np.matmul(rho, _cesaro_projector(kernel.P[np.arange(S), block]), out=mu[lo:lo + len(block)])
-    return mu if np.ndim(policy) == 2 else mu[0]
+    policy, (..., S) for policy rows, each row with the bits of its own call."""
+    rows, S, rho = _policy_rows(kernel, policy, rho), len(rho), np.asarray(rho, dtype=np.float64)
+    mu = np.empty(rows.shape)
+    for lo in range(0, rows.size // S, OCCUPANCY_BLOCK):
+        block, out = rows.reshape(-1, S)[lo:lo + OCCUPANCY_BLOCK], mu.reshape(-1, S)[lo:]
+        np.matmul(rho, _cesaro_projector(kernel.P[np.arange(S), block]), out=out[:len(block)])
+    return mu
 
 
 def _cesaro_projector(P: np.ndarray) -> np.ndarray:
@@ -252,10 +254,11 @@ def _optimal_policy(v: Instance, kernel: TransitionKernel) -> tuple[np.ndarray, 
 
 def mdp_regret(v: Instance, kernel: TransitionKernel, policy):
     """Occupancy-weighted reward shortfall against the optimum: a float for one
-    policy (S,), an array for policy rows (R, S), which share one optimum."""
+    policy (S,), an array over the leading axes for policy rows (..., S), which
+    share one optimum."""
     _, values, best = _optimal_policy(v, kernel)
     rows = _policy_rows(kernel, policy, v.rho)
-    index = np.ravel_multi_index(rows.T, (v.num_actions,) * v.num_states)
+    index = np.ravel_multi_index(np.moveaxis(rows, -1, 0), (v.num_actions,) * v.num_states)
     regret = np.maximum(values[best] - values[index], 0.0)
     return float(regret) if regret.ndim == 0 else regret
 

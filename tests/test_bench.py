@@ -231,35 +231,66 @@ class TestRunExperiment:
                     continue
                 assert simple_regret(v, selections) == row.regret, (row.algo, row.n, row.rep)
 
-    def test_one_batch_per_algorithm_and_n(self, tmp_path, monkeypatch):
-        """Every algorithm selects and scores all repetitions of an (algorithm,
-        n) in one call each: the rates algorithms estimate them in one call too,
-        mle builds no weight table, and rl_low_mdp searches its estimates in one
-        ``mdp_policy_search`` call and scores the policy rows in one ``mdp_regret``
-        call instead of a static selection."""
+    def test_one_batch_per_algorithm(self, tmp_path, monkeypatch):
+        """Every algorithm draws, selects and scores its whole grid in one call
+        each: one count-CDF table and one win draw over every n's pairs, one
+        ``select_best_actions`` and one ``simple_regret``, or for rl_low_mdp one
+        ``mdp_policy_search`` and one ``mdp_regret``.  Only what reads an n's
+        masses runs per n: the rates algorithms build one weight table and make
+        one estimate per n, and mle builds no weight table."""
         P = np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 4))
         kernel_path = tmp_path / "kernel.json"
         kernel_path.write_text(json.dumps({"P": P.tolist()}))
+        names = ("count_cdf", "sample_wins", "_weight_table", "estimate_relative_rewards",
+                 "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret")
         calls = {}
-        for name in ("_weight_table", "estimate_relative_rewards",
-                     "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"):
+        for name in names:
             def counted(*args, _real=getattr(bench, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(bench, name, counted)
         for algo, want in (
-            ("rl_low", (2, 2, 2, 2, 0, 0)),
-            ("dp_rl_low", (2, 2, 2, 2, 0, 0)),
-            ("rl_low_mdp", (2, 2, 0, 0, 2, 2)),
-            ("mle", (0, 0, 2, 2, 0, 0)),
+            ("rl_low", (1, 1, 3, 3, 1, 1, 0, 0)),
+            ("dp_rl_low", (1, 1, 3, 3, 1, 1, 0, 0)),
+            ("rl_low_mdp", (1, 1, 3, 3, 0, 0, 1, 1)),
+            ("mle", (1, 1, 0, 0, 1, 1, 0, 0)),
         ):
             calls.clear()
-            run_experiment(small_config(algorithms=(algo,), kernel_path=str(kernel_path),
+            run_experiment(small_config(algorithms=(algo,), n_grid=(20, 40, 80),
+                                        kernel_path=str(kernel_path),
                                         privacy=PrivacyParams(0.9, 0.2)))
-            got = tuple(calls.get(name, 0) for name in (
-                "_weight_table", "estimate_relative_rewards",
-                "select_best_actions", "simple_regret", "mdp_policy_search", "mdp_regret"))
-            assert got == want, algo
+            assert tuple(calls.get(name, 0) for name in names) == want, algo
+
+    def test_grid_equals_single_n_runs(self, tmp_path):
+        """A G-point grid gives, row for row apart from wall_ms, its G single-n
+        runs one after another, for every algorithm, also where the n's plans
+        cover different pairs: the pair of mass 1e-11 gets a record at n = 400
+        but none at n = 50."""
+        features = [[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], [[0.2, 1.0], [1.0, 0.3], [0.0, 0.0]]]
+        schedule = np.zeros((2, 3, 3))
+        schedule[0, 0, 1], schedule[0, 1, 2], schedule[0, 0, 2] = 0.25, 0.25 - 1e-11, 1e-11
+        schedule[1, 0, 1], schedule[1, 1, 2] = 0.25, 0.25
+        v = make_instance(features, [0.1, 0.05], [0.5, 0.5], schedule, 1.0)
+        assert [len(bench.sampling_plan(v, n)[0]) for n in (50, 400)] == [4, 5]
+        instance_path, kernel_path = tmp_path / "v.json", tmp_path / "kernel.json"
+        save_instance(v, instance_path)
+        P = np.random.default_rng(3).dirichlet(np.ones(2), size=(2, 3))
+        kernel_path.write_text(json.dumps({"P": P.tolist()}))
+        grid = (50, 120, 400)
+
+        def rows(n_grid):
+            table = run_experiment(ExperimentConfig(
+                instance_path=str(instance_path), n_grid=n_grid, repetitions=6,
+                algorithms=bench.ALGORITHMS, privacy=PrivacyParams(0.9, 0.2),
+                kernel_path=str(kernel_path), master_seed=13))
+            return {algo: [dataclasses.replace(r, wall_ms=0.0) for r in table.rows
+                           if r.algo == algo] for algo in bench.ALGORITHMS}
+
+        singles = [rows((n,)) for n in grid]
+        for algo, got in rows(grid).items():
+            assert got == [row for single in singles for row in single[algo]], algo
+            assert [r.regret.hex() for r in got] == [
+                r.regret.hex() for single in singles for r in single[algo]], algo
 
     def test_exact_binomial_oracle_at_small_scale(self, t1_path):
         # 2000 repetitions at n=4; the exact value is 0.1780837.
@@ -424,8 +455,8 @@ class TestCsvBytes:
 
     def test_run_experiment_table(self, tmp_path):
         rows = run_experiment(small_config(algorithms=("rl_low", "mle"))).rows
-        batches = {(r.algo, r.n): r.wall_ms for r in rows}
-        assert all(r.wall_ms is batches[r.algo, r.n] for r in rows)  # one float per batch
+        batches = {r.algo: r.wall_ms for r in rows}
+        assert all(r.wall_ms is batches[r.algo] for r in rows)  # one float per algorithm
         self.assert_reference_bytes(rows, tmp_path)
 
     def test_loaded_table(self, tmp_path):

@@ -655,6 +655,28 @@ class TestMdpRegret:
                                match=r"^policy row 7 \(0, 10\) does not fit \(S, A\) \(2, 10\)$"):
                 mdp_regret(v, kernel, rows)
 
+    def test_policy_stack_matches_flat_rows(self, paper_instance):
+        """A (2, 3, S) stack, as ``mdp_policy_search`` returns for (2, 3, S, A)
+        estimates, scores as the (6, S) rows reshaped, bit for bit; a bad row of
+        the stack is refused by its index over the leading axes."""
+        v = paper_instance
+        kernel = validate_kernel(
+            np.random.default_rng(2024).dirichlet(np.ones(2), size=(2, 10)), (2, 10))
+        rhat = np.random.default_rng(11).normal(size=(2, 3, 2, 10))
+        stack = mdp_policy_search(rhat, kernel, v.rho, tie_seed=np.arange(6).reshape(2, 3))
+        assert stack.shape == (2, 3, 2)
+        stacked, flat = mdp_regret(v, kernel, stack), mdp_regret(v, kernel, stack.reshape(6, 2))
+        assert stacked.shape == (2, 3)
+        assert [x.hex() for x in stacked.ravel().tolist()] == [x.hex() for x in flat.tolist()]
+        occupancy = stationary_distribution(kernel, stack, v.rho)
+        assert occupancy.shape == (2, 3, 2)
+        assert np.array_equal(occupancy.reshape(6, 2),
+                              stationary_distribution(kernel, stack.reshape(6, 2), v.rho))
+        stack[1, 2] = (0, 10)
+        with pytest.raises(ValidationError,
+                           match=r"^policy row \(1, 2\) \(0, 10\) does not fit \(S, A\) \(2, 10\)$"):
+            mdp_regret(v, kernel, stack)
+
     def test_non_unique_optimum_rejected(self, t2):
         # Every action leads to state 0, so state 1's choice is irrelevant
         # and two policies tie exactly.
